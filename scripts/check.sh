@@ -30,8 +30,10 @@
 #                                           # seed must absorb its storm with
 #                                           # bit-identical models.
 #   scripts/check.sh --remote-smoke         # start fleet_server, probe its
-#                                           # /data route (manifest + Range
-#                                           # slice) with fleet_client fetch,
+#                                           # /data route (manifest, Range
+#                                           # slices compared with the file,
+#                                           # directory ref = 404) with
+#                                           # fleet_client fetch,
 #                                           # then submit a job whose dataset
 #                                           # is the server's own http:// URL
 #                                           # — the remote data plane end to
@@ -251,7 +253,40 @@ if [[ "$remote_smoke" != "0" ]]; then
     exit 1
   }
 
-  # 3. A job whose dataset is the origin URL: shards stream over HTTP while
+  # 3. A mid-file slice: the second shard's extent from the manifest comes
+  #    back byte for byte the same as the local file's bytes there.
+  offsets=($(echo "$manifest" | grep -o '"byte_offset":"[0-9]*"' | grep -o '[0-9][0-9]*'))
+  sizes=($(echo "$manifest" | grep -o '"byte_size":"[0-9]*"' | grep -o '[0-9][0-9]*'))
+  [[ "${#offsets[@]}" -ge 2 && "${#sizes[@]}" -ge 2 ]] || {
+    echo "check.sh: remote smoke FAILED — manifest holds fewer than two shards" >&2
+    exit 1
+  }
+  lo="${offsets[1]}"
+  hi=$((lo + sizes[1] - 1))
+  "$client" "$port" fetch /data/remote_smoke.csv "$lo-$hi" \
+    "$smoke_dir/shard1.bin"
+  slice_bytes=$(wc -c < "$smoke_dir/shard1.bin")
+  [[ "$slice_bytes" == "${sizes[1]}" ]] &&
+    cmp -n "${sizes[1]}" "$smoke_dir/shard1.bin" \
+        "$smoke_dir/remote_smoke.csv" 0 "$lo" || {
+    echo "check.sh: remote smoke FAILED — Range $lo-$hi differs from the file" >&2
+    exit 1
+  }
+
+  # 4. Only regular files are datasets: a directory ref is a 404.
+  mkdir -p "$smoke_dir/not_a_dataset"
+  if "$client" "$port" fetch /data/not_a_dataset \
+       > /dev/null 2> "$smoke_dir/dir_fetch.err"; then
+    echo "check.sh: remote smoke FAILED — GET of a directory succeeded" >&2
+    exit 1
+  fi
+  grep -q "status 404" "$smoke_dir/dir_fetch.err" || {
+    echo "check.sh: remote smoke FAILED — GET of a directory was not a 404" >&2
+    cat "$smoke_dir/dir_fetch.err" >&2
+    exit 1
+  }
+
+  # 5. A job whose dataset is the origin URL: shards stream over HTTP while
   #    the model is learned.
   options='{"max_outer_iterations":40,"max_inner_iterations":150,
             "tolerance":1e-3,"track_exact_h":true,"terminate_on_h":true}'
@@ -270,7 +305,7 @@ if [[ "$remote_smoke" != "0" ]]; then
     cat "$server_log" >&2
     exit 1
   }
-  echo "check.sh: remote smoke done (manifest + Range slice + streamed-shard job)"
+  echo "check.sh: remote smoke done (manifest + Range slices + directory 404 + streamed-shard job)"
   exit 0
 fi
 

@@ -101,35 +101,30 @@ Status ReadShardBytes(std::ifstream& in, const std::string& path,
 
 }  // namespace
 
-Result<DenseMatrix> ParseCsvShardBuffer(const std::string& buffer,
+Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
                                         const std::string& path,
                                         int expect_rows, int cols) {
   DenseMatrix x(expect_rows, cols);
-  std::vector<std::string> cells;
-  std::vector<double> row;
   int filled = 0;
   size_t pos = 0;
   size_t line_no = 0;
   while (pos < buffer.size()) {
     size_t eol = buffer.find('\n', pos);
-    if (eol == std::string::npos) eol = buffer.size();
-    std::string line = buffer.substr(pos, eol - pos);
+    if (eol == std::string_view::npos) eol = buffer.size();
+    std::string_view line = buffer.substr(pos, eol - pos);
     pos = eol + 1;
     ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
-    cells = SplitCsvLine(line);
     if (filled >= expect_rows ||
-        cells.size() != static_cast<size_t>(cols)) {
+        CsvCellCount(line) != static_cast<size_t>(cols)) {
       return Status::InvalidArgument(
           "CSV dataset '" + path +
           "' shard layout mismatch at shard-relative line " +
           std::to_string(line_no) + " (file changed)");
     }
-    const Status parsed = ParseCsvCells(cells, line_no, path, &row);
+    const Status parsed = ParseCsvRow(line, line_no, path, x.row(filled));
     if (!parsed.ok()) return parsed;
-    std::memcpy(x.row(filled), row.data(),
-                static_cast<size_t>(cols) * sizeof(double));
     ++filled;
   }
   if (filled != expect_rows) {
@@ -182,7 +177,7 @@ Result<CsvShardScan> ScanCsvIntoShards(const std::string& path,
     ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const size_t cells = SplitCsvLine(line).size();
+    const size_t cells = CsvCellCount(line);
     if (first && has_header) {
       expected_cols = cells;
       first = false;
@@ -274,8 +269,14 @@ Status GatherFromShards(
     order[static_cast<size_t>(
         bucket[rows[static_cast<size_t>(b)] / shard_rows]++)] = b;
   }
-  // bucket[s] is now the end offset of shard s's group.
-  for (int s = 0; s < num_shards; ++s) {
+  // bucket[s] is now the end offset of shard s's group. Shards are visited
+  // in ascending order on one call and descending on the next: an LRU cache
+  // holding the last k shards of one pass then serves the first k of the
+  // next, where a fixed order evicts each shard just before its next use.
+  const bool descending = scratch->descending;
+  scratch->descending = !descending;
+  for (int i = 0; i < num_shards; ++i) {
+    const int s = descending ? num_shards - 1 - i : i;
     const int begin = s == 0 ? 0 : bucket[s - 1];
     const int end = bucket[s];
     if (begin == end) continue;

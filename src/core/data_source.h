@@ -110,12 +110,14 @@ uint64_t HashShardContent(int row_begin, int row_end, const DenseMatrix& x);
 
 /// \brief Reusable scratch for shard-aware gathers. Callers that gather in
 /// a loop (the sparse learner's batch loop) pass one in so the per-batch
-/// shard grouping performs no steady-state heap allocations; passing
-/// nullptr makes the source use a transient local. Unsharded sources ignore
-/// it entirely.
+/// shard grouping performs no steady-state heap allocations and successive
+/// gathers alternate their shard visit order (see `GatherFromShards`);
+/// passing nullptr makes the source use a transient local, which always
+/// visits in ascending order. Unsharded sources ignore it entirely.
 struct GatherScratch {
   std::vector<int> bucket;  ///< per-shard counting-sort offsets
   std::vector<int> order;   ///< batch indices grouped by shard
+  bool descending = false;  ///< visit order of the next gather; flips per call
 };
 
 /// \brief Abstract owning dataset.
@@ -487,12 +489,12 @@ Result<CsvShardScan> ScanCsvIntoShards(const std::string& path,
 
 /// Parses the data lines of one shard's byte extent (however it was
 /// obtained — local read or HTTP `Range:` response body) into an
-/// `expect_rows` x `cols` matrix. Every cell goes through the same
-/// `SplitCsvLine`/`ParseCsvCells` pair as `ReadCsv`, so a value parsed from
-/// a shard is bit-identical to the whole-file parse. Any structural
+/// `expect_rows` x `cols` matrix. Every row goes through the same
+/// `ParseCsvRow` as `ReadCsv`, straight into the matrix, so a value parsed
+/// from a shard is bit-identical to the whole-file parse. Any structural
 /// surprise — ragged/extra/missing lines — is `kInvalidArgument` (the
 /// origin changed since it was scanned). `origin` only feeds messages.
-Result<DenseMatrix> ParseCsvShardBuffer(const std::string& buffer,
+Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
                                         const std::string& origin,
                                         int expect_rows, int cols);
 
@@ -502,7 +504,12 @@ Result<DenseMatrix> ParseCsvShardBuffer(const std::string& buffer,
 /// exactly once through `acquire_shard` and copies its columns into `out`
 /// as a pure output partition (bitwise identical at any thread count). The
 /// shard handle is released before the next shard is acquired, so peak
-/// residency is one shard above whatever the cache retains.
+/// residency is one shard above whatever the cache retains. Shards are
+/// visited in ascending index order, or descending when
+/// `scratch->descending` is set; each call flips that flag, so a reused
+/// scratch alternates and an LRU cache's survivors from one gather are the
+/// first shards the next one asks for. The order changes which loads hit
+/// the cache, never a value.
 Status GatherFromShards(
     std::span<const int> rows, DenseMatrix* out, GatherScratch* scratch,
     int total_rows, int cols, int shard_rows, int num_shards,

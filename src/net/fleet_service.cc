@@ -1,10 +1,13 @@
 #include "net/fleet_service.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -71,16 +74,28 @@ bool SafeRelativePath(std::string_view path) {
   return true;
 }
 
-/// Reads a file fully into `*out`; false on any filesystem error. The
-/// `/data` route serves whole files or slices of them — either way the
-/// extent arithmetic runs on in-memory bytes, never on seek offsets.
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return false;
-  *out = buffer.str();
+/// Closes a file descriptor on scope exit (ignores -1).
+struct FdCloser {
+  int fd;
+  ~FdCloser() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// Reads bytes [lo, lo + count) of the open file `fd` into `*out`, so the
+/// `/data` route holds only the extent a request asked for. False on an I/O
+/// error or a short read (the file shrank since it was measured).
+bool ReadExtent(int fd, uint64_t lo, uint64_t count, std::string* out) {
+  out->resize(static_cast<size_t>(count));
+  uint64_t done = 0;
+  while (done < count) {
+    const ssize_t n = ::pread(fd, out->data() + done,
+                              static_cast<size_t>(count - done),
+                              static_cast<off_t>(lo + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<uint64_t>(n);
+  }
   return true;
 }
 
@@ -621,6 +636,15 @@ HttpResponse FleetService::HandleData(const HttpRequest& request) const {
   }
   const std::string full = options_.data_root + "/" + ref;
 
+  // Only a regular file is a dataset: a directory (or device, or FIFO —
+  // hence O_NONBLOCK, which plain files ignore) under the root is a 404.
+  const int fd = ::open(full.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  const FdCloser closer{fd};
+  struct stat st {};
+  if (fd < 0 || ::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    return HttpResponse::Error(404, "no such dataset: " + ref);
+  }
+
   if (request.QueryParam("manifest", "") == "1") {
     int64_t shard_rows = 0;
     if (!ParseId(request.QueryParam("shard_rows", "256"), &shard_rows) ||
@@ -662,11 +686,13 @@ HttpResponse FleetService::HandleData(const HttpRequest& request) const {
     return HttpResponse::Json(200, body.Dump());
   }
 
-  std::string bytes;
-  if (!ReadFileBytes(full, &bytes)) {
-    return HttpResponse::Error(404, "no such dataset: " + ref);
-  }
-  const uint64_t size = bytes.size();
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  // A short read races a writer truncating the file: transient, and the
+  // retry sees the new size.
+  const auto short_read = [&ref] {
+    return ErrorFromStatus(
+        Status::Unavailable("dataset '" + ref + "' changed while being read"));
+  };
 
   HttpResponse response;
   response.content_type = "text/csv";
@@ -691,17 +717,21 @@ HttpResponse FleetService::HandleData(const HttpRequest& request) const {
         return r;
       }
       case RangeKind::kSatisfiable:
+        if (!ReadExtent(fd, lo, hi - lo + 1, &response.body)) {
+          return short_read();
+        }
         response.status = 206;
         response.headers.emplace_back(
             "Content-Range", "bytes " + std::to_string(lo) + "-" +
                                  std::to_string(hi) + "/" +
                                  std::to_string(size));
-        response.body = bytes.substr(lo, hi - lo + 1);
         return response;
     }
   }
+  if (!ReadExtent(fd, 0, size, &response.body)) {
+    return short_read();
+  }
   response.status = 200;
-  response.body = std::move(bytes);
   return response;
 }
 

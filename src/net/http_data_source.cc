@@ -342,8 +342,15 @@ Result<DenseMatrix> HttpDataSource::LoadShard(int index) const {
                            "' returned HTTP " +
                            std::to_string(response.status));
   }
-  return ParseCsvShardBuffer(std::string(body), spec_.path,
-                             shard.row_end - shard.row_begin, cols);
+  Result<DenseMatrix> parsed = ParseCsvShardBuffer(
+      body, spec_.path, shard.row_end - shard.row_begin, cols);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument(
+        "remote dataset '" + spec_.path + "' shard " + std::to_string(index) +
+        " no longer parses as recorded (origin changed): " +
+        parsed.status().message());
+  }
+  return parsed;
 }
 
 Result<std::shared_ptr<const DenseMatrix>> HttpDataSource::AcquireShard(

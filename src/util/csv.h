@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -29,17 +30,21 @@ struct CsvTable {
 /// data must be finite, so "nan"/"inf" are rejected rather than parsed.
 Result<CsvTable> ReadCsv(const std::string& path, bool has_header);
 
-/// Splits one raw CSV line into cells (comma-separated, no quoting). A
-/// trailing comma yields a trailing empty cell, matching `ReadCsv`.
-std::vector<std::string> SplitCsvLine(const std::string& line);
+/// Number of cells in one non-empty CSV line (readers skip blank lines):
+/// one more than its comma count (no quoting, so a trailing comma yields a
+/// trailing empty cell).
+size_t CsvCellCount(std::string_view line);
 
-/// Parses the cells of one CSV data line into doubles with `ReadCsv`'s
-/// rejection rules: non-numeric and non-finite cells are `kInvalidArgument`
-/// (`line_no`/`path` only feed the error message). `out` is overwritten.
-/// Shared with the shard scanner in `core/data_source.cc` so a row parsed
-/// from a shard's byte extent is bit-identical to the whole-file parse.
-Status ParseCsvCells(const std::vector<std::string>& cells, size_t line_no,
-                     const std::string& path, std::vector<double>* out);
+/// Parses every cell of one CSV data line into `out[0, CsvCellCount(line))`
+/// with `ReadCsv`'s rejection rules: non-numeric and non-finite cells are
+/// `kInvalidArgument` (`line_no`/`path` only feed the error message).
+/// Allocation-free for cells `std::from_chars` takes whole; every other cell
+/// (zeros, subnormals, '+' or whitespace prefixes, hex, trailing garbage)
+/// goes through `strtod`, so values and decisions are `strtod`'s bit for
+/// bit. Shared by `ReadCsv` and the shard loaders in `core/data_source.cc`,
+/// so a row parsed from a shard's byte extent equals the whole-file parse.
+Status ParseCsvRow(std::string_view line, size_t line_no,
+                   const std::string& path, double* out);
 
 /// Writes a numeric table (with optional header) to `path`.
 Status WriteCsv(const std::string& path,

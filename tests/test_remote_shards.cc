@@ -28,6 +28,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +39,7 @@
 #include "data/benchmark_data.h"
 #include "io/model_serializer.h"
 #include "net/fleet_service.h"
+#include "net/http_client.h"
 #include "net/http_data_source.h"
 #include "net/http_server.h"
 #include "runtime/fleet_scheduler.h"
@@ -293,6 +295,107 @@ TEST(RemoteShards, MutatedOriginRefusedOnReloadAndAtPrepare) {
   const Status prepare = resumed.value()->Prepare();
   ASSERT_FALSE(prepare.ok());
   EXPECT_EQ(prepare.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RemoteShards, UnparseableReloadRefusedWithRemoteWordingInBothOrders) {
+  // The origin gains a leading line, so every recorded extent now starts
+  // mid-line and no longer parses. Whichever shard the reload reaches first
+  // — shard 0 ascending (fresh scratch), the last shard descending (a
+  // scratch reused from the first gather) — the refusal names the remote
+  // dataset and that shard, not a local file.
+  const int n = 60, d = 3, shard_rows = 20, last = n / shard_rows - 1;
+  for (const bool reuse_scratch : {false, true}) {
+    SCOPED_TRACE(reuse_scratch ? "descending (reused scratch)"
+                               : "ascending (fresh scratch)");
+    const std::string dir = FreshDir("least_remote_unparseable");
+    ShardOrigin origin(dir);
+    const std::string path =
+        origin.WriteCsv("shifted.csv", TestMatrix(n, d, 23));
+    const std::string url = origin.Url("shifted.csv");
+    DatasetCache cache(1 << 20);
+    Result<std::shared_ptr<const DataSource>> made =
+        MakeHttpSource(url, RemoteOptions(&cache, shard_rows));
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    const std::shared_ptr<const DataSource>& src = made.value();
+    ASSERT_TRUE(src->Prepare().ok());
+    std::vector<int> rows(n);
+    for (int i = 0; i < n; ++i) rows[i] = i;
+    GatherScratch scratch;
+    DenseMatrix out(d, n);
+    ASSERT_TRUE(src->GatherTransposed(rows, &out, &scratch).ok());
+
+    std::string content;
+    {
+      std::ifstream in(path, std::ios::binary);
+      content.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << "0,0,0\n"
+                                                             << content;
+    cache.Clear();
+    GatherScratch fresh;
+    const Status refused = src->GatherTransposed(
+        rows, &out, reuse_scratch ? &scratch : &fresh);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    const std::string prefix =
+        "remote dataset '" + url + "' shard " +
+        std::to_string(reuse_scratch ? last : 0) + " ";
+    EXPECT_EQ(refused.message().rfind(prefix, 0), 0u) << refused.ToString();
+    EXPECT_NE(refused.message().find("(origin changed)"), std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(cache.resident_bytes(), 0u) << "refused shard still charged";
+  }
+}
+
+TEST(RemoteShards, OriginServesExactExtentsAndOnlyRegularFiles) {
+  const std::string dir = FreshDir("least_remote_extents");
+  ShardOrigin origin(dir);
+  const std::string path = origin.WriteCsv("x.csv", TestMatrix(40, 3, 24));
+  std::string content;
+  {
+    std::ifstream in(path, std::ios::binary);
+    content.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(content.size(), 200u);
+  fs::create_directories(dir + "/sub");
+  const std::string size = std::to_string(content.size());
+
+  HttpClient client("127.0.0.1", origin.server->port());
+  const auto get = [&](const std::string& target, const std::string& range) {
+    std::vector<std::pair<std::string, std::string>> headers;
+    if (!range.empty()) headers.emplace_back("Range", "bytes=" + range);
+    Result<HttpClientResponse> r =
+        client.Request("GET", target, "", "text/plain", headers);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.value() : HttpClientResponse{};
+  };
+
+  // A mid-file extent comes back byte for byte, with its Content-Range.
+  HttpClientResponse mid = get("/data/x.csv", "100-199");
+  EXPECT_EQ(mid.status, 206);
+  EXPECT_EQ(mid.body, content.substr(100, 100));
+  EXPECT_EQ(mid.Header("content-range"), "bytes 100-199/" + size);
+  // Open-ended and suffix forms clip to the file.
+  EXPECT_EQ(get("/data/x.csv", "150-").body, content.substr(150));
+  EXPECT_EQ(get("/data/x.csv", "-10").body,
+            content.substr(content.size() - 10));
+  // No Range (or an ignorable one): the whole file.
+  HttpClientResponse whole = get("/data/x.csv", "");
+  EXPECT_EQ(whole.status, 200);
+  EXPECT_EQ(whole.body, content);
+  EXPECT_EQ(get("/data/x.csv", "9-3,5-6").body, content);
+  // Past the end: 416 naming the size.
+  HttpClientResponse past = get("/data/x.csv", size + "-");
+  EXPECT_EQ(past.status, 416);
+  EXPECT_EQ(past.Header("content-range"), "bytes */" + size);
+
+  // A directory is not a dataset, with or without a Range.
+  EXPECT_EQ(get("/data/sub", "").status, 404);
+  EXPECT_EQ(get("/data/sub", "0-9").status, 404);
+  EXPECT_EQ(get("/data/sub/", "").status, 404);
+  EXPECT_EQ(get("/data/sub?manifest=1&shard_rows=4&has_header=0", "").status,
+            404);
+  EXPECT_EQ(get("/data/missing.csv", "0-9").status, 404);
 }
 
 // An origin that answers every request with one scripted body — manifests

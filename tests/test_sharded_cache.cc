@@ -295,6 +295,76 @@ TEST(ShardedCsvSource, OverBudgetLearnerBitIdenticalAtOneTwoEightThreads) {
   std::remove(path.c_str());
 }
 
+TEST(ShardedCsvSource, ReusedScratchAlternatesVisitOrderSoSurvivorsHit) {
+  // Under a k-shard budget an ascending full pass leaves the last k shards
+  // resident. Visiting ascending again evicts each one just before it is
+  // needed (0 hits); a reused scratch turns the second pass around, so it
+  // starts on exactly those k survivors.
+  const int n = 120, d = 4, shard_rows = 10, k = 3;
+  const DenseMatrix x = TestMatrix(n, d, 77);
+  const std::string path = WriteTestCsv("least_shard_visit_order.csv", x);
+  DatasetCache cache(static_cast<size_t>(k) * shard_rows * d * sizeof(double));
+  CsvDataSource src(path, ShardedOptions(&cache, shard_rows));
+  ASSERT_TRUE(src.Prepare().ok());
+
+  std::vector<int> rows(n);
+  for (int i = 0; i < n; ++i) rows[i] = i;
+  DenseMatrix in_ram(d, n);
+  ASSERT_TRUE(MakeDenseSource(x)->GatherTransposed(rows, &in_ram).ok());
+
+  GatherScratch scratch;
+  DenseMatrix first(d, n), second(d, n);
+  ASSERT_TRUE(src.GatherTransposed(rows, &first, &scratch).ok());
+  const int64_t hits_before = cache.stats().hits;
+  ASSERT_TRUE(src.GatherTransposed(rows, &second, &scratch).ok());
+  EXPECT_EQ(cache.stats().hits - hits_before, k);
+  ExpectBitIdentical(first, in_ram);
+  ExpectBitIdentical(second, in_ram);
+  std::remove(path.c_str());
+}
+
+TEST(ShardedCsvSource, GatherVisitOrderAlternatesOnlyWithReusedScratch) {
+  const int n = 50, d = 2, shard_rows = 10, num_shards = 5;
+  const DenseMatrix x = TestMatrix(n, d, 78);
+  std::vector<int> visited;
+  const auto acquire =
+      [&](int s) -> Result<std::shared_ptr<const DenseMatrix>> {
+    visited.push_back(s);
+    auto shard = std::make_shared<DenseMatrix>(shard_rows, d);
+    std::memcpy(shard->row(0), x.row(s * shard_rows),
+                static_cast<size_t>(shard_rows) * d * sizeof(double));
+    return std::shared_ptr<const DenseMatrix>(std::move(shard));
+  };
+  std::vector<int> rows(n);
+  for (int i = 0; i < n; ++i) rows[i] = n - 1 - i;  // batch order is not
+                                                    // shard order
+  DenseMatrix in_ram(d, n);
+  ASSERT_TRUE(MakeDenseSource(x)->GatherTransposed(rows, &in_ram).ok());
+  const std::vector<int> ascending = {0, 1, 2, 3, 4};
+  const std::vector<int> descending = {4, 3, 2, 1, 0};
+
+  for (int call = 0; call < 2; ++call) {  // no scratch: always ascending
+    visited.clear();
+    DenseMatrix out(d, n);
+    ASSERT_TRUE(GatherFromShards(rows, &out, nullptr, n, d, shard_rows,
+                                 num_shards, acquire)
+                    .ok());
+    EXPECT_EQ(visited, ascending) << "call " << call;
+    ExpectBitIdentical(out, in_ram);
+  }
+  GatherScratch scratch;
+  for (int call = 0; call < 4; ++call) {  // reused scratch: alternates
+    visited.clear();
+    DenseMatrix out(d, n);
+    ASSERT_TRUE(GatherFromShards(rows, &out, &scratch, n, d, shard_rows,
+                                 num_shards, acquire)
+                    .ok());
+    EXPECT_EQ(visited, call % 2 == 0 ? ascending : descending)
+        << "call " << call;
+    ExpectBitIdentical(out, in_ram);
+  }
+}
+
 TEST(ShardedCsvSource, MutatedFileRefusedShardByShardAndReservationReleased) {
   const DenseMatrix x = TestMatrix(60, 3, 41);
   const std::string path = WriteTestCsv("least_shard_mutate.csv", x);
