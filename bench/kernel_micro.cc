@@ -10,6 +10,10 @@
 ///     path) vs. call-local scratch (the pre-layer allocation pattern).
 ///   - learner step: milliseconds per inner optimization step for the dense
 ///     LEAST learner (spectral bound) and the NOTEARS baseline (expm).
+///   - gather: the sparse learner's transposed mini-batch gather (B = 512
+///     rows of an n = 4d in-RAM matrix) through `OwningDenseDataSource`
+///     (tiled) vs. a bench-local column-at-a-time copy (the "naive" column
+///     — the pre-tiling loop), in milliseconds per gather.
 ///
 /// A machine-readable snapshot lands in `BENCH_kernels.json` (both columns,
 /// so the ≥2x single-thread gemm acceptance bar at d = 300 is recorded).
@@ -27,6 +31,7 @@
 #include "constraint/expm_trace.h"
 #include "constraint/spectral_bound.h"
 #include "core/continuous_learner.h"
+#include "core/data_source.h"
 #include "linalg/expm.h"
 #include "linalg/workspace.h"
 #include "util/rng.h"
@@ -74,6 +79,23 @@ struct StepRow {
   double notears_ms;
 };
 
+struct GatherRow {
+  int d;
+  double naive_ms;
+  double tiled_ms;
+};
+
+// The column-at-a-time transposed gather that `GatherFromDense` replaced:
+// each store strides B·8 bytes through `out`.
+void NaiveGather(const DenseMatrix& x, const std::vector<int>& rows,
+                 DenseMatrix* out) {
+  const int batch = static_cast<int>(rows.size());
+  for (int b = 0; b < batch; ++b) {
+    const double* src = x.row(rows[static_cast<size_t>(b)]);
+    for (int v = 0; v < x.cols(); ++v) (*out)(v, b) = src[v];
+  }
+}
+
 double LearnerStepMs(const DenseMatrix& x, bool notears, int steps) {
   LearnOptions opt;
   opt.max_outer_iterations = 1;
@@ -101,7 +123,8 @@ double LearnerStepMs(const DenseMatrix& x, bool notears, int steps) {
 
 int main() {
   const double scale = bench::Scale(1.0);
-  bench::PrintBanner("kernel_micro: gemm / expm / learner step", scale);
+  bench::PrintBanner("kernel_micro: gemm / expm / learner step / gather",
+                     scale);
 
   std::vector<int> dims;
   for (int d : {50, 100, 300, 500}) {
@@ -177,6 +200,33 @@ int main() {
   }
   std::printf("%s\n", step_table.ToString().c_str());
 
+  // ---- sparse-learner batch gather: naive vs tiled, single thread. ----
+  constexpr int kGatherBatch = 512;
+  std::vector<GatherRow> gather_rows;
+  for (int d : dims) {
+    const int n = 4 * d;
+    const auto x = std::make_shared<const DenseMatrix>(
+        DenseMatrix::RandomUniform(n, d, -1.0, 1.0, rng));
+    OwningDenseDataSource source(x);
+    std::vector<int> rows(kGatherBatch);
+    for (int& r : rows) r = rng.UniformInt(n);
+    DenseMatrix out(d, kGatherBatch);
+    const double t_naive = TimeBest([&] { NaiveGather(*x, rows, &out); });
+    const double t_tiled =
+        TimeBest([&] { (void)source.GatherTransposed(rows, &out); });
+    gather_rows.push_back({d, 1000.0 * t_naive, 1000.0 * t_tiled});
+  }
+
+  TablePrinter gather_table(
+      {"d", "gather naive ms", "gather tiled ms", "speedup"});
+  for (const GatherRow& r : gather_rows) {
+    gather_table.AddRow({TablePrinter::Fmt(static_cast<long long>(r.d)),
+                         TablePrinter::Fmt(r.naive_ms, 3),
+                         TablePrinter::Fmt(r.tiled_ms, 3),
+                         TablePrinter::Fmt(r.naive_ms / r.tiled_ms, 2)});
+  }
+  std::printf("%s\n", gather_table.ToString().c_str());
+
   // ---- Machine-readable snapshot. ----
   std::FILE* json = std::fopen("BENCH_kernels.json", "w");
   if (json != nullptr) {
@@ -207,6 +257,17 @@ int main() {
                    "\"notears_ms\": %.3f}%s\n",
                    r.d, r.least_ms, r.notears_ms,
                    i + 1 < step_rows.size() ? "," : "");
+    }
+    std::fprintf(json, "  ],\n  \"gather\": [\n");
+    for (size_t i = 0; i < gather_rows.size(); ++i) {
+      const GatherRow& r = gather_rows[i];
+      std::fprintf(json,
+                   "    {\"d\": %d, \"n\": %d, \"batch\": %d, "
+                   "\"naive_ms\": %.3f, \"tiled_ms\": %.3f, "
+                   "\"speedup\": %.2f}%s\n",
+                   r.d, 4 * r.d, kGatherBatch, r.naive_ms, r.tiled_ms,
+                   r.naive_ms / r.tiled_ms,
+                   i + 1 < gather_rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

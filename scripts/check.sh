@@ -358,8 +358,10 @@ fi
 # Optional sanitizer pass over the data-plane and net tests: LEAST_SANITIZE=1
 # configures a second build tree with ASan+UBSan and runs the tests that
 # exercise cache eviction lifetimes, CSV parsing, checkpoint parsing,
-# scheduler concurrency, and the HTTP stack (parser fuzz sweep, loopback
-# service end-to-end, connection churn). Kept separate from the main tree so
+# scheduler concurrency, the HTTP stack (parser fuzz sweep, loopback
+# service end-to-end, connection churn), and the sparse learner's batch
+# step (tiled gather and lane-interleaved gradient dots index raw pointers
+# over partial tiles and lanes). Kept separate from the main tree so
 # incremental builds stay fast.
 if [[ "${LEAST_SANITIZE:-0}" != "0" ]]; then
   san_dir="${SANITIZE_BUILD_DIR:-build-sanitize}"
@@ -375,9 +377,9 @@ if [[ "${LEAST_SANITIZE:-0}" != "0" ]]; then
         test_checkpoint_resume test_trace_log test_obs_metrics \
         test_http_parser test_http_client test_remote_shards \
         test_net_service test_net_stress \
-        test_failpoint test_chaos_fleet
+        test_failpoint test_chaos_fleet test_least_sparse
   cd "$san_dir"
   ctest --output-on-failure --no-tests=error -R \
-        '^(test_data_source|test_csv|test_fleet_data_plane|test_sharded_cache|test_fleet_scheduler|test_fleet_scheduling|test_model_serializer|test_serializer_fuzz|test_checkpoint_resume|test_trace_log|test_obs_metrics|test_http_parser|test_http_client|test_remote_shards|test_net_service|test_net_stress|test_failpoint|test_chaos_fleet)$'
+        '^(test_data_source|test_csv|test_fleet_data_plane|test_sharded_cache|test_fleet_scheduler|test_fleet_scheduling|test_model_serializer|test_serializer_fuzz|test_checkpoint_resume|test_trace_log|test_obs_metrics|test_http_parser|test_http_client|test_remote_shards|test_net_service|test_net_stress|test_failpoint|test_chaos_fleet|test_least_sparse)$'
   echo "check.sh: sanitizer pass green"
 fi

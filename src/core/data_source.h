@@ -493,10 +493,14 @@ Result<CsvShardScan> ScanCsvIntoShards(const std::string& path,
 /// `ParseCsvRow` as `ReadCsv`, straight into the matrix, so a value parsed
 /// from a shard is bit-identical to the whole-file parse. Any structural
 /// surprise — ragged/extra/missing lines — is `kInvalidArgument` (the
-/// origin changed since it was scanned). `origin` only feeds messages.
+/// origin changed since it was scanned). `origin`, `shard` and `first_line`
+/// only feed messages: with `first_line` > 0 (the file line the extent
+/// starts on, known to the scan) lines are named by file line, as `ReadCsv`
+/// names them; with 0 (a reload) by shard and shard-relative line.
 Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
                                         const std::string& origin,
-                                        int expect_rows, int cols);
+                                        int expect_rows, int cols, int shard,
+                                        size_t first_line = 0);
 
 /// The shard-granular gather loop shared by every sharded source: counting-
 /// sorts `rows` by shard (via `scratch`, allocation-free in steady state;

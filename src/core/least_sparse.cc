@@ -1,7 +1,9 @@
 #include "core/least_sparse.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <unordered_set>
 
@@ -235,8 +237,9 @@ SparseLearnResult LeastSparseLearner::FitInternal(
         result.seconds = time_offset + watch.Seconds();
         return result;
       }
-      rt = xt;
-      rt.Scale(-1.0);
+      // Rt starts at −X_Bᵀ, in one pass (negation is exact).
+      std::transform(xt.data().begin(), xt.data().end(), rt.data().begin(),
+                     std::negate<>());
       const auto& row_ptr = w.row_ptr();
       const auto& col = w.col_idx();
       const auto& values = w.values();
@@ -264,19 +267,43 @@ SparseLearnResult LeastSparseLearner::FitInternal(
 
       // --- Pattern-restricted gradient, split over pattern rows (each
       // total_grad[e] belongs to exactly one row i; per-edge dots reduce
-      // serially within their chunk, so the partition is pure).
+      // serially within their chunk, so the partition is pure). The dot of
+      // edge (i, j) is ⟨Xt_i, Rt_j⟩. Four edges' dots run in lock-step,
+      // across row boundaries, so four independent add chains hide the add
+      // latency; each dot still sums its products in ascending b, so every
+      // bit equals the one-edge-at-a-time loop's.
       total_grad.resize(nnz);
       const double lagrange = rho * constraint_value + eta;
       MaybeParallelForFlops(batch_flops, 0, d, /*grain=*/-1,
                             [&](int64_t i_lo, int64_t i_hi) {
-        for (int64_t i = i_lo; i < i_hi; ++i) {
-          const double* x_row = xt.row(static_cast<int>(i));
-          for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; ++e) {
-            const double* r_row = rt.row(col[e]);
-            double dot = 0.0;
-            for (int b = 0; b < batch; ++b) dot += x_row[b] * r_row[b];
+        constexpr int kLanes = 4;
+        const int64_t e_end = row_ptr[i_hi];
+        int64_t i = i_lo;  // pattern row of the edge being set up
+        for (int64_t e0 = row_ptr[i_lo]; e0 < e_end; e0 += kLanes) {
+          // A partial last group repeats its final edge in the spare lanes
+          // and keeps only the real lanes' dots.
+          const int lanes =
+              static_cast<int>(std::min<int64_t>(kLanes, e_end - e0));
+          const double* x[kLanes];
+          const double* r[kLanes];
+          for (int k = 0; k < kLanes; ++k) {
+            const int64_t e = e0 + std::min(k, lanes - 1);
+            while (row_ptr[i + 1] <= e) ++i;
+            x[k] = xt.row(static_cast<int>(i));
+            r[k] = rt.row(col[e]);
+          }
+          double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+          for (int b = 0; b < batch; ++b) {
+            d0 += x[0][b] * r[0][b];
+            d1 += x[1][b] * r[1][b];
+            d2 += x[2][b] * r[2][b];
+            d3 += x[3][b] * r[3][b];
+          }
+          const double dots[kLanes] = {d0, d1, d2, d3};
+          for (int k = 0; k < lanes; ++k) {
+            const int64_t e = e0 + k;
             const double wv = values[e];
-            double g = 2.0 * inv_b * dot + lagrange * constraint_grad[e];
+            double g = 2.0 * inv_b * dots[k] + lagrange * constraint_grad[e];
             if (wv != 0.0) g += wv > 0.0 ? opt.lambda1 : -opt.lambda1;
             total_grad[e] = g;
           }

@@ -343,7 +343,7 @@ Result<DenseMatrix> HttpDataSource::LoadShard(int index) const {
                            std::to_string(response.status));
   }
   Result<DenseMatrix> parsed = ParseCsvShardBuffer(
-      body, spec_.path, shard.row_end - shard.row_begin, cols);
+      body, spec_.path, shard.row_end - shard.row_begin, cols, index);
   if (!parsed.ok()) {
     return Status::InvalidArgument(
         "remote dataset '" + spec_.path + "' shard " + std::to_string(index) +

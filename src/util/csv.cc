@@ -15,22 +15,22 @@ namespace {
 /// `ReadCsv`'s cell rules, by `strtod`: the arbiter for every cell the
 /// `from_chars` fast path in `ParseCsvRow` declines.
 Status ParseCsvCellSlow(std::string_view cell, size_t line_no,
-                        const std::string& path, double* out) {
+                        const std::string& path, int shard, double* out) {
   const std::string c(cell);
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(c.c_str(), &end);
   if (end == c.c_str() || errno == ERANGE) {
-    return Status::InvalidArgument(
-        "non-numeric CSV cell '" + c + "' at line " +
-        std::to_string(line_no) + " in '" + path + "'");
+    return Status::InvalidArgument("non-numeric CSV cell '" + c + "' at " +
+                                   CsvLineLabel(line_no, shard) + " in '" +
+                                   path + "'");
   }
   // Learning data must be finite: strtod happily parses "nan"/"inf",
   // which would silently poison every downstream objective.
   if (!std::isfinite(v)) {
-    return Status::InvalidArgument(
-        "non-finite CSV cell '" + c + "' at line " +
-        std::to_string(line_no) + " in '" + path + "'");
+    return Status::InvalidArgument("non-finite CSV cell '" + c + "' at " +
+                                   CsvLineLabel(line_no, shard) + " in '" +
+                                   path + "'");
   }
   *out = v;
   return Status::Ok();
@@ -38,12 +38,18 @@ Status ParseCsvCellSlow(std::string_view cell, size_t line_no,
 
 }  // namespace
 
+std::string CsvLineLabel(size_t line_no, int shard) {
+  if (shard < 0) return "line " + std::to_string(line_no);
+  return "shard-relative line " + std::to_string(line_no) + " of shard " +
+         std::to_string(shard);
+}
+
 size_t CsvCellCount(std::string_view line) {
   return static_cast<size_t>(std::count(line.begin(), line.end(), ',')) + 1;
 }
 
 Status ParseCsvRow(std::string_view line, size_t line_no,
-                   const std::string& path, double* out) {
+                   const std::string& path, double* out, int shard) {
   size_t begin = 0;
   for (;;) {
     size_t end = line.find(',', begin);
@@ -61,7 +67,7 @@ Status ParseCsvRow(std::string_view line, size_t line_no,
         mag > DBL_MIN && mag < DBL_MAX) {
       *out = v;
     } else {
-      const Status parsed = ParseCsvCellSlow(cell, line_no, path, out);
+      const Status parsed = ParseCsvCellSlow(cell, line_no, path, shard, out);
       if (!parsed.ok()) return parsed;
     }
     ++out;

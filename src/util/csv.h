@@ -35,16 +35,22 @@ Result<CsvTable> ReadCsv(const std::string& path, bool has_header);
 /// trailing empty cell).
 size_t CsvCellCount(std::string_view line);
 
+/// Names a CSV line in messages: "line N" — a file line — or, when `shard`
+/// is >= 0, "shard-relative line N of shard S" for a line counted from the
+/// start of a shard's byte extent whose place in the file is not known.
+std::string CsvLineLabel(size_t line_no, int shard = -1);
+
 /// Parses every cell of one CSV data line into `out[0, CsvCellCount(line))`
 /// with `ReadCsv`'s rejection rules: non-numeric and non-finite cells are
-/// `kInvalidArgument` (`line_no`/`path` only feed the error message).
+/// `kInvalidArgument` (`line_no`/`path`/`shard` only feed the error message,
+/// through `CsvLineLabel`).
 /// Allocation-free for cells `std::from_chars` takes whole; every other cell
 /// (zeros, subnormals, '+' or whitespace prefixes, hex, trailing garbage)
 /// goes through `strtod`, so values and decisions are `strtod`'s bit for
 /// bit. Shared by `ReadCsv` and the shard loaders in `core/data_source.cc`,
 /// so a row parsed from a shard's byte extent equals the whole-file parse.
 Status ParseCsvRow(std::string_view line, size_t line_no,
-                   const std::string& path, double* out);
+                   const std::string& path, double* out, int shard = -1);
 
 /// Writes a numeric table (with optional header) to `path`.
 Status WriteCsv(const std::string& path,

@@ -12,8 +12,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "linalg/parallel.h"
 #include "runtime/thread_pool.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -612,6 +615,61 @@ TEST(DataSourceParallel, GatherIsBitwiseIdenticalUnderExecutor) {
     SetParallelExecutor(nullptr);
     ExpectBitIdentical(serial_dense, parallel_dense);
     ExpectBitIdentical(serial_csr, parallel_csr);
+  }
+}
+
+// The column-at-a-time gather `GatherFromDense` used before it copied in
+// tiles, kept verbatim (minus the executor split, which never changed what
+// a column holds) as the bitwise golden.
+void OldGatherFromDense(const DenseMatrix& x, std::span<const int> rows,
+                        DenseMatrix* out) {
+  const int batch = static_cast<int>(rows.size());
+  const int d = x.cols();
+  for (int64_t b = 0; b < batch; ++b) {
+    const int r = rows[static_cast<size_t>(b)];
+    const double* src = x.row(r);
+    for (int v = 0; v < d; ++v) {
+      (*out)(v, static_cast<int>(b)) = src[v];
+    }
+  }
+}
+
+TEST(DataSourceParallel, TiledGatherMatchesOldLoopAtEveryBatchWidth) {
+  // Batch widths around the 32-column tile (one lane, a partial tile, one
+  // exact tile, a tile plus one) and the benchmark's 512. Each width runs
+  // at d = 13, which stays serial, and at a d that clears
+  // kParallelMinFlops, so 2/4/8-thread pools cut the batch into chunks
+  // whose edges fall inside tiles.
+  for (const int batch : {1, 7, 31, 32, 33, 512}) {
+    const int wide_d =
+        static_cast<int>(kParallelMinFlops / batch) + 3;  // odd tail
+    for (const int d : {13, batch > 1 ? wide_d : 13}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) +
+                   " d=" + std::to_string(d));
+      const int n = 24;
+      const DenseMatrix x = TestMatrix(n, d, 61 + batch);
+      OwningDenseDataSource src(x);
+      std::vector<int> rows;
+      Rng rng(67 + batch);
+      for (int b = 0; b < batch; ++b) rows.push_back(rng.UniformInt(n));
+      DenseMatrix golden(d, batch);
+      OldGatherFromDense(x, rows, &golden);
+
+      ASSERT_EQ(GetParallelExecutor(), nullptr);
+      DenseMatrix serial(d, batch);
+      ASSERT_TRUE(src.GatherTransposed(rows, &serial).ok());
+      ExpectBitIdentical(golden, serial);
+      for (const int threads : {2, 4, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ThreadPool pool(threads);
+        SetParallelExecutor(&pool);
+        DenseMatrix parallel(d, batch);
+        const Status gathered = src.GatherTransposed(rows, &parallel);
+        SetParallelExecutor(nullptr);
+        ASSERT_TRUE(gathered.ok());
+        ExpectBitIdentical(golden, parallel);
+      }
+    }
   }
 }
 

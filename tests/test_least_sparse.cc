@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/least.h"
 #include "data/benchmark_data.h"
 #include "graph/dag.h"
@@ -233,6 +236,75 @@ TEST(LeastSparse, BitwiseIdenticalUnderParallelExecutor) {
     EXPECT_EQ(serial.weights.values(), parallel.weights.values());
     EXPECT_EQ(serial.inner_iterations, parallel.inner_iterations);
   }
+}
+
+// Pins the exact bits of two small fits, so a change to the inner step's
+// kernels (batch gather, residual init, gradient dots) that reorders a
+// single floating-point operation fails here. B = 45 and 77 leave partial
+// 32-column gather tiles; the all-pairs patterns start at nnz = 42·41 and
+// 14·13 (both 2 mod 4), and compaction moves nnz through other residues, so
+// the gradient's 4-edge lanes always end in a partial group. The hashes were
+// produced by the straightforward loops these kernels replaced.
+struct PinnedFit {
+  uint64_t raw_weights_hash;
+  uint64_t weights_hash;
+  int64_t inner_iterations;
+};
+
+PinnedFit FitAndHash(const DataSource& source, const LearnOptions& opt,
+                     int d) {
+  LeastSparseLearner learner(opt);
+  learner.set_candidate_edges(AllPairs(d));
+  const SparseLearnResult r = learner.Fit(source);
+  EXPECT_NE(r.status.code(), StatusCode::kInvalidArgument)
+      << r.status.ToString();
+  EXPECT_GT(r.raw_weights.nnz(), 0);
+  return {HashCsrContent(r.raw_weights), HashCsrContent(r.weights),
+          r.inner_iterations};
+}
+
+TEST(LeastSparse, PinnedBitsInRamDenseSource) {
+  BenchmarkConfig cfg;
+  cfg.d = 42;
+  cfg.n = 300;
+  cfg.seed = 31;
+  const BenchmarkInstance inst = MakeBenchmarkInstance(cfg);
+  LearnOptions opt = FastSparseOptions();
+  opt.max_outer_iterations = 3;
+  opt.max_inner_iterations = 20;
+  opt.batch_size = 45;
+  opt.seed = 7;
+  OwningDenseDataSource src(inst.x);
+  const PinnedFit fit = FitAndHash(src, opt, cfg.d);
+  EXPECT_EQ(fit.raw_weights_hash, 0xF55E4790E4FDD8D2ull);
+  EXPECT_EQ(fit.weights_hash, 0xC23CA45654FFD32Aull);
+  EXPECT_EQ(fit.inner_iterations, 60);
+}
+
+TEST(LeastSparse, PinnedBitsShardedCsvSource) {
+  BenchmarkConfig cfg;
+  cfg.d = 14;
+  cfg.n = 230;
+  cfg.seed = 37;
+  const BenchmarkInstance inst = MakeBenchmarkInstance(cfg);
+  const std::string path = testing::TempDir() + "/least_sparse_pinned.csv";
+  ASSERT_TRUE(WriteMatrixCsv(path, inst.x).ok());
+  LearnOptions opt = FastSparseOptions();
+  opt.max_outer_iterations = 3;
+  opt.max_inner_iterations = 20;
+  opt.batch_size = 77;
+  opt.seed = 11;
+  DatasetCache cache(size_t{4} * 50 * cfg.d * sizeof(double));
+  CsvSourceOptions csv;
+  csv.has_header = false;
+  csv.cache = &cache;
+  csv.shard_rows = 50;  // 5 shards, the last one partial
+  CsvDataSource src(path, csv);
+  const PinnedFit fit = FitAndHash(src, opt, cfg.d);
+  EXPECT_EQ(fit.raw_weights_hash, 0x5A3ABC58B92EB3E5ull);
+  EXPECT_EQ(fit.weights_hash, 0x84C488E9F16D8DA0ull);
+  EXPECT_EQ(fit.inner_iterations, 60);
+  std::remove(path.c_str());
 }
 
 TEST(LeastSparse, ScalesTo2000NodesQuickly) {

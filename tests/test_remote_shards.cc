@@ -347,6 +347,46 @@ TEST(RemoteShards, UnparseableReloadRefusedWithRemoteWordingInBothOrders) {
   }
 }
 
+TEST(RemoteShards, UnparseableReloadNamesShardRelativeLine) {
+  // A fetched extent is parsed without knowing where it starts in the
+  // origin's file, so a bad cell found there is named by shard and
+  // shard-relative line, never passed off as a file line. Row 45 of
+  // "i,(100 + i)" rows is the 6th line of shard 2 (rows 40-59).
+  auto text = [](const std::string& cell45) {
+    std::string t;
+    for (int i = 0; i < 60; ++i) {
+      t += std::to_string(i) + "," +
+           (i == 45 ? cell45 : std::to_string(100 + i)) + "\n";
+    }
+    return t;
+  };
+  const std::string dir = FreshDir("least_remote_reload_line");
+  ShardOrigin origin(dir);
+  const std::string path = dir + "/lines.csv";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text("145");
+  DatasetCache cache(1 << 20);
+  Result<std::shared_ptr<const DataSource>> made =
+      MakeHttpSource(origin.Url("lines.csv"), RemoteOptions(&cache, 20));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ASSERT_TRUE(made.value()->Prepare().ok());
+  cache.Clear();
+  // Same byte length, so the recorded extents still line up.
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text("x45");
+  std::vector<int> rows = {45};
+  DenseMatrix out(2, 1);
+  const Status refused = made.value()->GatherTransposed(rows, &out);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.message().rfind(
+                "remote dataset '" + origin.Url("lines.csv") + "' shard 2 ",
+                0),
+            0u)
+      << refused.ToString();
+  EXPECT_NE(refused.message().find("at shard-relative line 6 of shard 2"),
+            std::string::npos)
+      << refused.ToString();
+}
+
 TEST(RemoteShards, OriginServesExactExtentsAndOnlyRegularFiles) {
   const std::string dir = FreshDir("least_remote_extents");
   ShardOrigin origin(dir);

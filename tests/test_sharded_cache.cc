@@ -481,5 +481,75 @@ TEST(ShardedCsvSource, HeaderAndBlankLinesKeepExtentsExact) {
   std::remove(path.c_str());
 }
 
+// A 60 x 2 CSV of integer cells — row i is "i,(100 + i)" — with a header
+// and blank lines after rows 9 and 29, so file lines and data rows differ.
+// `bad_row`, when set, gets `bad_cell` in place of its second cell.
+std::string LineNumberedCsv(int bad_row = -1,
+                            const std::string& bad_cell = "") {
+  std::string text = "a,b\n";
+  for (int i = 0; i < 60; ++i) {
+    text += std::to_string(i) + "," +
+            (i == bad_row ? bad_cell : std::to_string(100 + i)) + "\n";
+    if (i == 9 || i == 29) text += "\n";
+  }
+  return text;
+}
+
+TEST(ShardedCsvSource, ScanReportsBadCellsAtTheirFileLine) {
+  // Row 47 sits on file line 51 (header + 47 rows + 2 blanks before it).
+  // The sharded scan parses it inside a shard's extent; its message must
+  // still name the file line, word for word what the unsharded parse says.
+  const std::string path = testing::TempDir() + "/least_shard_lines.csv";
+  for (const std::string cell : {"oops", "nan"}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << LineNumberedCsv(47, cell);
+    DatasetCache cache(1 << 20);
+    CsvSourceOptions whole_opt;
+    whole_opt.cache = &cache;
+    const Status whole = CsvDataSource(path, whole_opt).Prepare();
+    ASSERT_FALSE(whole.ok());
+    EXPECT_NE(whole.message().find("at line 51 in"), std::string::npos)
+        << whole.ToString();
+    for (const int shard_rows : {1, 7, 20, 60}) {
+      SCOPED_TRACE("cell=" + cell + " shard_rows=" +
+                   std::to_string(shard_rows));
+      CsvSourceOptions opt = ShardedOptions(&cache, shard_rows);
+      opt.has_header = true;
+      const Status sharded = CsvDataSource(path, opt).Prepare();
+      ASSERT_FALSE(sharded.ok());
+      EXPECT_EQ(sharded.code(), whole.code());
+      EXPECT_EQ(sharded.message(), whole.message());
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ShardedCsvSource, ReloadNamesShardAndShardRelativeLine) {
+  // A reload reads one extent and cannot know where it starts in the file,
+  // so a bad cell found there is named by shard and shard-relative line,
+  // never passed off as a file line. Row 45 is the 6th line of shard 2
+  // (rows 40-59).
+  const std::string path = testing::TempDir() + "/least_shard_reload.csv";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << LineNumberedCsv();
+  DatasetCache cache(1 << 20);
+  CsvSourceOptions opt = ShardedOptions(&cache, 20);
+  opt.has_header = true;
+  CsvDataSource src(path, opt);
+  ASSERT_TRUE(src.Prepare().ok());
+  cache.Clear();
+  // Same byte length, so the recorded extents still line up.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << LineNumberedCsv(45, "x45");
+  std::vector<int> rows = {45};
+  DenseMatrix out(2, 1);
+  const Status s = src.GatherTransposed(rows, &out);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("'x45' at shard-relative line 6 of shard 2 in"),
+            std::string::npos)
+      << s.ToString();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace least
