@@ -75,7 +75,7 @@ if [[ "$bench_smoke" != "0" ]]; then
   # BENCH_fleet.json at the repo root.
   cd "$repo_root"
   cmake -B "$build_dir" -S . "${native_flags[@]}"
-  cmake --build "$build_dir" -j --target bench_kernel_micro \
+  cmake --build "$build_dir" -j"$(nproc)" --target bench_kernel_micro \
         bench_fleet_throughput
   (cd "$build_dir" &&
    LEAST_BENCH_SCALE="${LEAST_BENCH_SCALE:-0.2}" bench/kernel_micro)
@@ -96,7 +96,7 @@ if [[ "$trace_smoke" != "0" ]]; then
   # to upload.
   cd "$repo_root"
   cmake -B "$build_dir" -S . "${native_flags[@]}"
-  cmake --build "$build_dir" -j --target example_fleet_learning tool_lbtrace_dump
+  cmake --build "$build_dir" -j"$(nproc)" --target example_fleet_learning tool_lbtrace_dump
   trace_file="$build_dir/fleet-smoke.lbtrace"
   jobs="${LEAST_FLEET_JOBS:-120}"
   (cd "$build_dir" &&
@@ -121,7 +121,7 @@ if [[ "$http_smoke" != "0" ]]; then
   # journal long-poll, model streaming) as a black box.
   cd "$repo_root"
   cmake -B "$build_dir" -S . "${native_flags[@]}"
-  cmake --build "$build_dir" -j --target \
+  cmake --build "$build_dir" -j"$(nproc)" --target \
         example_fleet_server example_csv_workflow tool_fleet_client \
         tool_lbtrace_dump
   build_abs="$(cd "$build_dir" && pwd)"
@@ -202,7 +202,7 @@ if [[ "$remote_smoke" != "0" ]]; then
   # box.
   cd "$repo_root"
   cmake -B "$build_dir" -S . "${native_flags[@]}"
-  cmake --build "$build_dir" -j --target \
+  cmake --build "$build_dir" -j"$(nproc)" --target \
         example_fleet_server example_csv_workflow tool_fleet_client
   build_abs="$(cd "$build_dir" && pwd)"
   smoke_dir="$build_abs/remote-smoke"
@@ -317,7 +317,7 @@ if [[ "$chaos" != "0" ]]; then
   # as a failed settle, a non-identical model, or checkpoint debris.
   cd "$repo_root"
   cmake -B "$build_dir" -S . "${native_flags[@]}"
-  cmake --build "$build_dir" -j --target test_chaos_fleet
+  cmake --build "$build_dir" -j"$(nproc)" --target test_chaos_fleet
   for seed in 1 2 3; do
     echo "check.sh: chaos seed $seed"
     LEAST_CHAOS_SEED="$seed" "$build_dir/test_chaos_fleet"
@@ -337,7 +337,7 @@ if [[ "${LEAST_SANITIZE_ONLY:-0}" == "0" ]]; then
   fi
 
   cmake -B "$build_dir" -S . "${native_flags[@]}"
-  cmake --build "$build_dir" -j
+  cmake --build "$build_dir" -j"$(nproc)"
   cd "$build_dir"
   ctest --output-on-failure -j
 
@@ -369,7 +369,7 @@ if [[ "${LEAST_SANITIZE:-0}" != "0" ]]; then
   cmake -B "$san_dir" -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
-  cmake --build "$san_dir" -j --target \
+  cmake --build "$san_dir" -j"$(nproc)" --target \
         test_data_source test_csv test_fleet_data_plane \
         test_sharded_cache \
         test_fleet_scheduler test_fleet_scheduling test_model_serializer \

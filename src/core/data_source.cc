@@ -111,12 +111,20 @@ Status ReadShardBytes(std::ifstream& in, const std::string& path,
   return Status::Ok();
 }
 
-}  // namespace
-
+/// Parses the data lines of one shard's byte extent (however it was
+/// obtained — local read or HTTP `Range:` response body) into an
+/// `expect_rows` x `cols` matrix. Every row goes through the same
+/// `ParseCsvRow` as `ReadCsv`, straight into the matrix, so a value parsed
+/// from a shard is bit-identical to the whole-file parse. Any structural
+/// surprise — ragged/extra/missing lines — is `kInvalidArgument`. `path`,
+/// `shard` and `first_line` only feed messages: with `first_line` > 0 (the
+/// file line the extent starts on, known to the scan) lines are named by
+/// file line, as `ReadCsv` names them; with 0 (a reload) by shard and
+/// shard-relative line.
 Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
                                         const std::string& path,
                                         int expect_rows, int cols, int shard,
-                                        size_t first_line) {
+                                        size_t first_line = 0) {
   DenseMatrix x(expect_rows, cols);
   int filled = 0;
   size_t pos = 0;
@@ -135,8 +143,8 @@ Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
     if (filled >= expect_rows ||
         CsvCellCount(line) != static_cast<size_t>(cols)) {
       return Status::InvalidArgument(
-          "CSV dataset '" + path + "' shard layout mismatch at " +
-          CsvLineLabel(line_no, label_shard) + " (file changed)");
+          "CSV line outside the scanned shard layout at " +
+          CsvLineLabel(line_no, label_shard) + " in '" + path + "'");
     }
     const Status parsed =
         ParseCsvRow(line, line_no, path, x.row(filled), label_shard);
@@ -145,27 +153,10 @@ Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
   }
   if (filled != expect_rows) {
     return Status::InvalidArgument(
-        "CSV dataset '" + path + "' shard holds " + std::to_string(filled) +
-        " rows where " + std::to_string(expect_rows) +
-        " were recorded (file changed)");
+        "CSV shard extent in '" + path + "' holds " + std::to_string(filled) +
+        " rows where " + std::to_string(expect_rows) + " were scanned");
   }
   return x;
-}
-
-namespace {
-
-/// Self-contained open + read + parse of one shard (the cache loader).
-Result<DenseMatrix> ParseShardExtent(const std::string& path, int index,
-                                     uint64_t byte_offset, uint64_t byte_size,
-                                     int expect_rows, int cols) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  std::string buffer;
-  const Status read = ReadShardBytes(in, path, byte_offset, byte_size, &buffer);
-  if (!read.ok()) return read;
-  return ParseCsvShardBuffer(buffer, path, expect_rows, cols, index);
 }
 
 }  // namespace
@@ -367,6 +358,13 @@ uint64_t HashShardContent(int row_begin, int row_end, const DenseMatrix& x) {
   return Fnv1aFold(hash, x.data().data(), x.size() * sizeof(double));
 }
 
+Result<std::shared_ptr<const CsrMatrix>> DataSource::Csr() const {
+  Result<std::shared_ptr<const DenseMatrix>> dense = Dense();
+  if (!dense.ok()) return dense.status();
+  return std::make_shared<const CsrMatrix>(
+      CsrMatrix::FromDense(*dense.value()));
+}
+
 // ------------------------------------------------ OwningDenseDataSource ---
 
 OwningDenseDataSource::OwningDenseDataSource(DenseMatrix x, std::string name)
@@ -389,10 +387,6 @@ DatasetSpec OwningDenseDataSource::spec() const {
   DatasetSpec spec = spec_;
   spec.content_hash = hash_;
   return spec;
-}
-
-Result<std::shared_ptr<const CsrMatrix>> OwningDenseDataSource::Csr() const {
-  return std::make_shared<const CsrMatrix>(CsrMatrix::FromDense(*x_));
 }
 
 Status OwningDenseDataSource::GatherTransposed(std::span<const int> rows,
@@ -642,16 +636,251 @@ DatasetCache& GlobalDatasetCache() {
   return *cache;
 }
 
+// ----------------------------------------------------------- ShardedSource ---
+
+ShardedSource::ShardedSource(DatasetSpec expected, DatasetCache* cache)
+    : cache_(cache != nullptr ? cache : &GlobalDatasetCache()),
+      spec_(std::move(expected)) {
+  LEAST_CHECK(!spec_.path.empty() && spec_.shard_rows > 0);
+  LEAST_CHECK(spec_.kind == DatasetKind::kCsv ||
+              spec_.kind == DatasetKind::kRemote);
+  // Parse options are part of the payload identity: two sources reading
+  // the same dataset with and without a header (or with different shard
+  // geometry) must not share cache entries.
+  cache_key_ = spec_.path + (spec_.csv_has_header ? "#header" : "#noheader") +
+               "#rows" + std::to_string(spec_.shard_rows);
+}
+
+std::string ShardedSource::ShardKey(int index) const {
+  return cache_key_ + "#shard" + std::to_string(index);
+}
+
+std::string ShardedSource::Subject() const {
+  return (spec_.kind == DatasetKind::kRemote ? "remote dataset '"
+                                             : "CSV dataset '") +
+         spec_.path + "'";
+}
+
+Status ShardedSource::Refusal(const std::string& what) const {
+  return Status::InvalidArgument(
+      Subject() + " " + what +
+      (spec_.kind == DatasetKind::kRemote ? " (origin changed)"
+                                          : " (file changed)"));
+}
+
+Status ShardedSource::Prepare() const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (prepared_) return Status::Ok();
+  }
+  Result<CsvShardScan> scanned = ScanLayout();
+  if (!scanned.ok()) return scanned.status();
+  CsvShardScan& scan = scanned.value();
+  // Shard i covers exactly [i * shard_rows, min((i + 1) * shard_rows, rows)).
+  // The fixed stride is load-bearing — Dense() writes shard i at row
+  // i * shard_rows and the gather buckets row r into shard r / shard_rows —
+  // so a table that merely tiles [0, rows) with other strides is refused,
+  // not just one with gaps. Byte extents feed Range headers and slicing
+  // arithmetic, so an extent whose end would wrap uint64 is refused too.
+  const int64_t stride = shard_rows();
+  if (scan.rows <= 0 || scan.cols <= 0 ||
+      static_cast<int64_t>(scan.shards.size()) !=
+          (scan.rows + stride - 1) / stride) {
+    return Status::InvalidArgument(Subject() +
+                                   " shard table does not tile the dataset");
+  }
+  for (size_t i = 0; i < scan.shards.size(); ++i) {
+    const DatasetShard& shard = scan.shards[i];
+    const int64_t begin = static_cast<int64_t>(i) * stride;
+    if (shard.row_begin != begin ||
+        shard.row_end != std::min<int64_t>(begin + stride, scan.rows) ||
+        shard.byte_size == 0) {
+      return Status::InvalidArgument(Subject() + " shard table does not tile "
+                                     "the dataset at shard " +
+                                     std::to_string(i));
+    }
+    if (shard.byte_offset > UINT64_MAX - shard.byte_size) {
+      return Status::InvalidArgument(Subject() + " shard " + std::to_string(i) +
+                                     " byte extent overflows");
+    }
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (prepared_) return Status::Ok();  // a racing Prepare finished first
+  // Expectations from a checkpointed spec. A recorded shard table is
+  // verified by *content* — row ranges and value hashes; byte extents are
+  // the backend's materialization detail (a rewrite that parses to
+  // identical doubles is the same dataset), so the fresh layout's extents
+  // are authoritative.
+  if ((spec_.rows != 0 && spec_.rows != scan.rows) ||
+      (spec_.cols != 0 && spec_.cols != scan.cols)) {
+    return Refusal("is " + std::to_string(scan.rows) + "x" +
+                   std::to_string(scan.cols) + " but " +
+                   std::to_string(spec_.rows) + "x" +
+                   std::to_string(spec_.cols) + " was expected");
+  }
+  if (spec_.content_hash != 0 && spec_.content_hash != scan.content_hash) {
+    return Refusal("content hash mismatch");
+  }
+  if (!spec_.shards.empty()) {
+    if (spec_.shards.size() != scan.shards.size()) {
+      return Refusal("has " + std::to_string(scan.shards.size()) +
+                     " shards where " + std::to_string(spec_.shards.size()) +
+                     " were recorded");
+    }
+    for (size_t i = 0; i < spec_.shards.size(); ++i) {
+      const DatasetShard& want = spec_.shards[i];
+      const DatasetShard& got = scan.shards[i];
+      if (want.row_begin != got.row_begin || want.row_end != got.row_end ||
+          (want.content_hash != 0 &&
+           want.content_hash != got.content_hash)) {
+        return Refusal("shard " + std::to_string(i) +
+                       " does not match its recorded layout");
+      }
+    }
+  }
+  spec_.rows = scan.rows;
+  spec_.cols = scan.cols;
+  spec_.content_hash = scan.content_hash;
+  spec_.shards = std::move(scan.shards);
+  verified_.assign(spec_.shards.size(), std::weak_ptr<const DenseMatrix>());
+  prepared_ = true;
+  return Status::Ok();
+}
+
+DatasetSpec ShardedSource::spec() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return spec_;
+}
+
+double ShardedSource::CacheResidency() const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!prepared_) return 0.0;  // nothing loaded yet; probing loads nothing
+  }
+  const size_t num_shards = spec_.shards.size();
+  size_t resident = 0;
+  for (size_t i = 0; i < num_shards; ++i) {
+    if (cache_->Resident(ShardKey(static_cast<int>(i)))) ++resident;
+  }
+  return static_cast<double>(resident) / static_cast<double>(num_shards);
+}
+
+Result<DenseMatrix> ShardedSource::LoadShard(int index) const {
+  const DatasetShard& shard = spec_.shards[static_cast<size_t>(index)];
+  std::string buffer;
+  Result<std::string_view> extent = ReadExtent(index, shard, &buffer);
+  if (!extent.ok()) return extent.status();
+  Result<DenseMatrix> parsed =
+      ParseCsvShardBuffer(extent.value(), path(),
+                          shard.row_end - shard.row_begin, spec_.cols, index);
+  if (!parsed.ok()) {
+    return Refusal("shard " + std::to_string(index) +
+                   " no longer parses as recorded: " +
+                   parsed.status().message());
+  }
+  return parsed;
+}
+
+Result<std::shared_ptr<const DenseMatrix>> ShardedSource::AcquireShard(
+    int index) const {
+  const std::string key = ShardKey(index);
+  Result<std::shared_ptr<const DenseMatrix>> acquired =
+      cache_->GetOrLoad(key, [this, index]() { return LoadShard(index); });
+  if (!acquired.ok()) return acquired;
+  // Transient acquire fault: no Drop — the data is fine, so the shard stays
+  // cached and a retrying caller succeeds on the next attempt.
+  LEAST_FAILPOINT("cache.verify");
+  const std::shared_ptr<const DenseMatrix>& handle = acquired.value();
+  std::lock_guard<std::mutex> lock(mu_);
+  std::weak_ptr<const DenseMatrix>& seen =
+      verified_[static_cast<size_t>(index)];
+  if (handle == seen.lock()) return acquired;  // same payload object
+  // First touch of this payload object (load, reload after eviction, or a
+  // foreign source repopulating the shared entry): verify it against the
+  // layout recorded at Prepare before letting a single value through.
+  const DatasetShard& shard = spec_.shards[static_cast<size_t>(index)];
+  if (handle->rows() != shard.row_end - shard.row_begin ||
+      handle->cols() != spec_.cols ||
+      HashShardContent(shard.row_begin, shard.row_end, *handle) !=
+          shard.content_hash) {
+    // Release the refused payload's cache reservation: a shard no job can
+    // use must not stay charged against the budget until LRU pressure
+    // happens to evict it.
+    cache_->Drop(key);
+    return Refusal("shard " + std::to_string(index) + " content mismatch");
+  }
+  seen = handle;
+  return acquired;
+}
+
+Result<std::shared_ptr<const DenseMatrix>> ShardedSource::Dense() const {
+  const Status prepared = Prepare();
+  if (!prepared.ok()) return prepared;
+  // Shards are pinned one at a time, so the transient overhead above the
+  // caller-owned result itself is a single shard.
+  auto full = std::make_shared<DenseMatrix>(spec_.rows, spec_.cols);
+  for (int s = 0; s < static_cast<int>(spec_.shards.size()); ++s) {
+    Result<std::shared_ptr<const DenseMatrix>> shard = AcquireShard(s);
+    if (!shard.ok()) return shard.status();
+    const DenseMatrix& m = *shard.value();
+    std::memcpy(full->row(s * shard_rows()), m.data().data(),
+                m.size() * sizeof(double));
+  }
+  return std::static_pointer_cast<const DenseMatrix>(full);
+}
+
+Status ShardedSource::GatherTransposed(std::span<const int> rows,
+                                       DenseMatrix* out) const {
+  return GatherTransposed(rows, out, nullptr);
+}
+
+Status ShardedSource::GatherTransposed(std::span<const int> rows,
+                                       DenseMatrix* out,
+                                       GatherScratch* scratch) const {
+  const Status prepared = Prepare();
+  if (!prepared.ok()) return prepared;
+  return GatherFromShards(rows, out, scratch, spec_.rows, spec_.cols,
+                          shard_rows(), static_cast<int>(spec_.shards.size()),
+                          [this](int s) { return AcquireShard(s); });
+}
+
 // ----------------------------------------------------------- CsvDataSource ---
+
+namespace {
+
+/// Chunked `CsvDataSource`'s backend: the layout is a scan of the file, an
+/// extent is a seek + read.
+class LocalCsvShards final : public ShardedSource {
+ public:
+  LocalCsvShards(DatasetSpec expected, DatasetCache* cache)
+      : ShardedSource(std::move(expected), cache) {}
+
+ private:
+  Result<CsvShardScan> ScanLayout() const override {
+    return ScanCsvIntoShards(path(), has_header(), shard_rows());
+  }
+
+  Result<std::string_view> ReadExtent(int /*index*/, const DatasetShard& shard,
+                                      std::string* buffer) const override {
+    std::ifstream in(path(), std::ios::binary);
+    if (!in) {
+      return Status::IoError("cannot open '" + path() + "' for reading");
+    }
+    const Status read = ReadShardBytes(in, path(), shard.byte_offset,
+                                       shard.byte_size, buffer);
+    if (!read.ok()) return read;
+    return std::string_view(*buffer);
+  }
+};
+
+}  // namespace
 
 CsvDataSource::CsvDataSource(std::string path, CsvSourceOptions options)
     : cache_(options.cache != nullptr ? options.cache
-                                      : &GlobalDatasetCache()),
-      shard_rows_(options.shard_rows),
-      expected_shards_(std::move(options.expected_shards)) {
+                                      : &GlobalDatasetCache()) {
   LEAST_CHECK(!path.empty());
-  LEAST_CHECK(shard_rows_ >= 0);
-  LEAST_CHECK(expected_shards_.empty() || shard_rows_ > 0);
+  LEAST_CHECK(options.shard_rows >= 0);
+  LEAST_CHECK(options.expected_shards.empty() || options.shard_rows > 0);
   spec_.kind = DatasetKind::kCsv;
   spec_.path = std::move(path);
   spec_.name = options.name.empty() ? spec_.path : std::move(options.name);
@@ -659,16 +888,15 @@ CsvDataSource::CsvDataSource(std::string path, CsvSourceOptions options)
   spec_.rows = options.expected_rows;
   spec_.cols = options.expected_cols;
   spec_.content_hash = options.expected_hash;
-  spec_.shard_rows = shard_rows_;
-  // Parse options are part of the payload identity: two sources reading
-  // the same file with and without a header (or with different shard
-  // geometry) must not share cache entries.
+  if (options.shard_rows > 0) {
+    spec_.shard_rows = options.shard_rows;
+    spec_.shards = std::move(options.expected_shards);
+    sharded_ = std::make_unique<LocalCsvShards>(spec_, cache_);
+    return;
+  }
+  // The header flag is part of the payload identity: two sources reading
+  // the same file with and without a header must not share an entry.
   cache_key_ = spec_.path + (options.has_header ? "#header" : "#noheader");
-  if (shard_rows_ > 0) cache_key_ += "#rows" + std::to_string(shard_rows_);
-}
-
-std::string CsvDataSource::ShardKey(int index) const {
-  return cache_key_ + "#shard" + std::to_string(index);
 }
 
 Result<DenseMatrix> CsvDataSource::Load() const {
@@ -743,71 +971,8 @@ Result<std::shared_ptr<const DenseMatrix>> CsvDataSource::AcquireVerified()
   return acquired;
 }
 
-Status CsvDataSource::PrepareSharded() const {
-  std::string path;
-  bool has_header = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (prepared_) return Status::Ok();
-    path = spec_.path;
-    has_header = spec_.csv_has_header;
-  }
-  Result<CsvShardScan> scanned =
-      ScanCsvIntoShards(path, has_header, shard_rows_);
-  if (!scanned.ok()) return scanned.status();
-  const CsvShardScan& scan = scanned.value();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (prepared_) return Status::Ok();  // a racing Prepare finished first
-  if ((spec_.rows != 0 && spec_.rows != scan.rows) ||
-      (spec_.cols != 0 && spec_.cols != scan.cols)) {
-    return Status::InvalidArgument(
-        "CSV dataset '" + spec_.path + "' is " + std::to_string(scan.rows) +
-        "x" + std::to_string(scan.cols) + " but " +
-        std::to_string(spec_.rows) + "x" + std::to_string(spec_.cols) +
-        " was expected");
-  }
-  if (spec_.content_hash != 0 && spec_.content_hash != scan.content_hash) {
-    return Status::InvalidArgument(
-        "CSV dataset '" + spec_.path +
-        "' content hash mismatch (file changed since it was recorded)");
-  }
-  // A checkpointed shard layout is verified by *content* — row ranges and
-  // value hashes. Byte extents are a local materialization detail (a
-  // rewrite that parses to identical doubles is the same dataset), so the
-  // fresh scan's extents are authoritative.
-  if (!expected_shards_.empty()) {
-    if (expected_shards_.size() != scan.shards.size()) {
-      return Status::InvalidArgument(
-          "CSV dataset '" + spec_.path + "' scans into " +
-          std::to_string(scan.shards.size()) + " shards where " +
-          std::to_string(expected_shards_.size()) +
-          " were recorded (file changed since the checkpoint)");
-    }
-    for (size_t i = 0; i < expected_shards_.size(); ++i) {
-      const DatasetShard& want = expected_shards_[i];
-      const DatasetShard& got = scan.shards[i];
-      if (want.row_begin != got.row_begin || want.row_end != got.row_end ||
-          (want.content_hash != 0 &&
-           want.content_hash != got.content_hash)) {
-        return Status::InvalidArgument(
-            "CSV dataset '" + spec_.path + "' shard " + std::to_string(i) +
-            " does not match its recorded layout (file changed since the "
-            "checkpoint)");
-      }
-    }
-  }
-  spec_.rows = scan.rows;
-  spec_.cols = scan.cols;
-  spec_.content_hash = scan.content_hash;
-  spec_.shards = scan.shards;
-  verified_shards_.assign(scan.shards.size(),
-                          std::weak_ptr<const DenseMatrix>());
-  prepared_ = true;
-  return Status::Ok();
-}
-
 Status CsvDataSource::Prepare() const {
-  if (shard_rows_ > 0) return PrepareSharded();
+  if (sharded_ != nullptr) return sharded_->Prepare();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (prepared_) return Status::Ok();
@@ -820,120 +985,23 @@ Status CsvDataSource::Prepare() const {
 }
 
 DatasetSpec CsvDataSource::spec() const {
+  if (sharded_ != nullptr) return sharded_->spec();
   std::lock_guard<std::mutex> lock(mu_);
   return spec_;
 }
 
 double CsvDataSource::CacheResidency() const {
-  size_t num_shards = 0;
+  if (sharded_ != nullptr) return sharded_->CacheResidency();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!prepared_) return 0.0;  // nothing loaded yet, and probing loads nothing
-    num_shards = spec_.shards.size();
   }
-  if (shard_rows_ == 0) return cache_->Resident(cache_key_) ? 1.0 : 0.0;
-  if (num_shards == 0) return 0.0;
-  size_t resident = 0;
-  for (size_t i = 0; i < num_shards; ++i) {
-    if (cache_->Resident(ShardKey(static_cast<int>(i)))) ++resident;
-  }
-  return static_cast<double>(resident) / static_cast<double>(num_shards);
-}
-
-Result<DenseMatrix> CsvDataSource::LoadShard(int index) const {
-  std::string path;
-  DatasetShard shard;
-  int cols = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    LEAST_CHECK(prepared_ && index >= 0 &&
-                index < static_cast<int>(spec_.shards.size()));
-    path = spec_.path;
-    shard = spec_.shards[static_cast<size_t>(index)];
-    cols = spec_.cols;
-  }
-  return ParseShardExtent(path, index, shard.byte_offset, shard.byte_size,
-                          shard.row_end - shard.row_begin, cols);
-}
-
-Result<std::shared_ptr<const DenseMatrix>> CsvDataSource::AcquireShard(
-    int index) const {
-  const std::string key = ShardKey(index);
-  Result<std::shared_ptr<const DenseMatrix>> acquired =
-      cache_->GetOrLoad(key, [this, index]() { return LoadShard(index); });
-  if (!acquired.ok()) return acquired;
-  // Same transient-fault site as `AcquireVerified`: no Drop, the shard
-  // stays cached for the retry.
-  LEAST_FAILPOINT("cache.verify");
-  const std::shared_ptr<const DenseMatrix>& handle = acquired.value();
-  std::lock_guard<std::mutex> lock(mu_);
-  std::weak_ptr<const DenseMatrix>& seen =
-      verified_shards_[static_cast<size_t>(index)];
-  if (handle == seen.lock()) return acquired;  // same payload object
-  // First touch of this payload object (load, reload after eviction, or a
-  // foreign source repopulating the shared entry): verify it against the
-  // layout recorded at Prepare before letting a single value through.
-  const DatasetShard& shard = spec_.shards[static_cast<size_t>(index)];
-  const int rows = shard.row_end - shard.row_begin;
-  if (handle->rows() != rows || handle->cols() != spec_.cols ||
-      HashShardContent(shard.row_begin, shard.row_end, *handle) !=
-          shard.content_hash) {
-    // Release the refused payload's reservation (see `AcquireVerified`).
-    cache_->Drop(key);
-    return Status::InvalidArgument(
-        "CSV dataset '" + spec_.path + "' shard " + std::to_string(index) +
-        " content mismatch (file changed since it was recorded)");
-  }
-  seen = handle;
-  return acquired;
+  return cache_->Resident(cache_key_) ? 1.0 : 0.0;
 }
 
 Result<std::shared_ptr<const DenseMatrix>> CsvDataSource::Dense() const {
-  if (shard_rows_ == 0) return AcquireVerified();
-  const Status prepared = Prepare();
-  if (!prepared.ok()) return prepared;
-  int n = 0, d = 0, num_shards = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    n = spec_.rows;
-    d = spec_.cols;
-    num_shards = static_cast<int>(spec_.shards.size());
-  }
-  // Whole-matrix materialization of a sharded dataset is caller-owned and
-  // deliberately outside the cache budget: it is the explicit opt-out of
-  // streaming (dense learners). Shards are pinned one at a time, so the
-  // transient overhead above the result itself is a single shard.
-  auto full = std::make_shared<DenseMatrix>(n, d);
-  for (int s = 0; s < num_shards; ++s) {
-    Result<std::shared_ptr<const DenseMatrix>> shard = AcquireShard(s);
-    if (!shard.ok()) return shard.status();
-    const DenseMatrix& m = *shard.value();
-    std::memcpy(full->row(s * shard_rows_), m.data().data(),
-                m.size() * sizeof(double));
-  }
-  return std::static_pointer_cast<const DenseMatrix>(full);
-}
-
-Result<std::shared_ptr<const CsrMatrix>> CsvDataSource::Csr() const {
-  Result<std::shared_ptr<const DenseMatrix>> dense = Dense();
-  if (!dense.ok()) return dense.status();
-  return std::make_shared<const CsrMatrix>(CsrMatrix::FromDense(*dense.value()));
-}
-
-Status CsvDataSource::GatherSharded(std::span<const int> rows,
-                                    DenseMatrix* out,
-                                    GatherScratch* scratch) const {
-  const Status prepared = Prepare();
-  if (!prepared.ok()) return prepared;
-  int n = 0, d = 0, num_shards = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    n = spec_.rows;
-    d = spec_.cols;
-    num_shards = static_cast<int>(spec_.shards.size());
-  }
-  return GatherFromShards(rows, out, scratch, n, d, shard_rows_, num_shards,
-                          [this](int s) { return AcquireShard(s); });
+  if (sharded_ != nullptr) return sharded_->Dense();
+  return AcquireVerified();
 }
 
 Status CsvDataSource::GatherTransposed(std::span<const int> rows,
@@ -944,7 +1012,9 @@ Status CsvDataSource::GatherTransposed(std::span<const int> rows,
 Status CsvDataSource::GatherTransposed(std::span<const int> rows,
                                        DenseMatrix* out,
                                        GatherScratch* scratch) const {
-  if (shard_rows_ > 0) return GatherSharded(rows, out, scratch);
+  if (sharded_ != nullptr) {
+    return sharded_->GatherTransposed(rows, out, scratch);
+  }
   // Re-acquired per batch on purpose: holding the handle across the whole
   // fit would pin the dataset and defeat the cache budget. Verification is
   // pointer-identity-gated, so the steady-state cost is one cache lookup.

@@ -155,9 +155,9 @@ class DataSource {
   /// a held handle keeps the bytes resident regardless of cache eviction.
   virtual Result<std::shared_ptr<const DenseMatrix>> Dense() const = 0;
 
-  /// Sparse (CSR) materialization. Dense-backed sources convert on demand
-  /// (O(n·d)); CSR-backed sources return their payload.
-  virtual Result<std::shared_ptr<const CsrMatrix>> Csr() const = 0;
+  /// Sparse (CSR) materialization. The default converts `Dense()` on
+  /// demand (O(n·d)); CSR-backed sources return their payload.
+  virtual Result<std::shared_ptr<const CsrMatrix>> Csr() const;
 
   /// Fills `out` (must be d x rows.size()) with out(v, b) = X(rows[b], v).
   /// Splits the batch across the optional global `ParallelExecutor` with
@@ -208,7 +208,6 @@ class OwningDenseDataSource final : public DataSource {
   Result<std::shared_ptr<const DenseMatrix>> Dense() const override {
     return x_;
   }
-  Result<std::shared_ptr<const CsrMatrix>> Csr() const override;
   using DataSource::GatherTransposed;
   Status GatherTransposed(std::span<const int> rows,
                           DenseMatrix* out) const override;
@@ -362,6 +361,130 @@ class DatasetCache {
 /// The process-wide cache lazy sources use by default.
 DatasetCache& GlobalDatasetCache();
 
+// ------------------------------------------------------------ shard plane ---
+//
+// A dataset larger than its cache budget streams one row-range shard at a
+// time. One source owns that plane, `ShardedSource`; the local chunked
+// `CsvDataSource` and the remote `HttpDataSource` (`net/http_data_source.h`)
+// are backends that supply only the layout and the bytes of one shard's
+// extent. So a remote dataset streams bit-identically to the local file it
+// was exported from, and both refuse a changed dataset by the same rules.
+
+/// \brief Outcome of scanning a CSV file into fixed row-range shards.
+struct CsvShardScan {
+  int rows = 0;
+  int cols = 0;
+  /// Whole-dataset hash, identical to `HashDenseContent` of the fully
+  /// materialized matrix (the row-major value stream is the concatenation
+  /// of the shard value streams).
+  uint64_t content_hash = 0;
+  std::vector<DatasetShard> shards;
+};
+
+/// Two-pass bounded-memory scan of a CSV file into fixed `shard_rows`-row
+/// shards: pass one establishes structure (shape, raggedness, byte
+/// extents), pass two folds per-shard value hashes plus the whole-dataset
+/// hash one shard at a time. The layout behind `CsvDataSource`'s chunked
+/// mode and the manifest the fleet service serves to remote readers. A bad
+/// cell is reported at its file line, word for word as `ReadCsv` does.
+Result<CsvShardScan> ScanCsvIntoShards(const std::string& path,
+                                       bool has_header, int shard_rows);
+
+/// The shard-granular gather loop behind every sharded source: counting-
+/// sorts `rows` by shard (via `scratch`, allocation-free in steady state;
+/// nullptr uses a transient local), then materializes each touched shard
+/// exactly once through `acquire_shard` and copies its columns into `out`
+/// as a pure output partition (bitwise identical at any thread count). The
+/// shard handle is released before the next shard is acquired, so peak
+/// residency is one shard above whatever the cache retains. Shards are
+/// visited in ascending index order, or descending when
+/// `scratch->descending` is set; each call flips that flag, so a reused
+/// scratch alternates and an LRU cache's survivors from one gather are the
+/// first shards the next one asks for. The order changes which loads hit
+/// the cache, never a value.
+Status GatherFromShards(
+    std::span<const int> rows, DenseMatrix* out, GatherScratch* scratch,
+    int total_rows, int cols, int shard_rows, int num_shards,
+    const std::function<Result<std::shared_ptr<const DenseMatrix>>(int)>&
+        acquire_shard);
+
+/// \brief A numeric CSV dataset held as fixed row-range shards, each its
+/// own `DatasetCache` entry.
+///
+/// `Prepare` takes the backend's layout, refuses one whose shard i does not
+/// cover exactly `[i * shard_rows, min((i + 1) * shard_rows, rows))`, and
+/// checks it against any checkpointed expectations (shape, whole hash, the
+/// recorded shards' row ranges and value hashes). A shard load parses the
+/// backend's extent bytes and is verified against the recorded shard hash
+/// whenever the cached payload object is new to this source; a refused
+/// payload is dropped from the cache. Refusals name the dataset by kind:
+/// "CSV dataset '<path>' ... (file changed)" or "remote dataset '<url>'
+/// ... (origin changed)".
+///
+/// Thread safety: all methods are const and safe to call concurrently; the
+/// backend's two hooks run under no lock and may run concurrently.
+class ShardedSource : public DataSource {
+ public:
+  Status Prepare() const override;
+  /// Before `Prepare`: the identity plus any checkpointed expectations
+  /// (shape, hash, shard table). After: the verified layout.
+  DatasetSpec spec() const override;
+  /// Assembles the full matrix shard by shard; the result is caller-owned
+  /// (NOT budget-tracked) — dense learners genuinely need the whole matrix,
+  /// and asking for it is an explicit opt-out of streaming.
+  Result<std::shared_ptr<const DenseMatrix>> Dense() const override;
+  Status GatherTransposed(std::span<const int> rows,
+                          DenseMatrix* out) const override;
+  Status GatherTransposed(std::span<const int> rows, DenseMatrix* out,
+                          GatherScratch* scratch) const override;
+  /// Resident shards / shards; 0 before `Prepare` (probing loads nothing).
+  double CacheResidency() const override;
+
+ protected:
+  /// `expected` names the dataset (kind `kCsv` or `kRemote`, path, name,
+  /// header flag, `shard_rows` > 0) and carries what a checkpoint recorded
+  /// of it — rows, cols, content hash, shard table — with zero or empty
+  /// meaning "not recorded". `cache` nullptr means `GlobalDatasetCache()`.
+  ShardedSource(DatasetSpec expected, DatasetCache* cache);
+
+  /// The dataset's shape, whole hash and shard table, at `shard_rows()`.
+  virtual Result<CsvShardScan> ScanLayout() const = 0;
+  /// Reads shard `index`'s byte extent `shard` into `buffer` and returns
+  /// the view of exactly its bytes (all of `buffer` or a slice of it).
+  virtual Result<std::string_view> ReadExtent(int index,
+                                              const DatasetShard& shard,
+                                              std::string* buffer) const = 0;
+
+  /// `kInvalidArgument` "<kind> dataset '<path>' <what> (<file|origin>
+  /// changed)": how a backend refuses bytes that no longer fit the layout.
+  Status Refusal(const std::string& what) const;
+
+  // Fixed at construction, so readable without the lock.
+  const std::string& path() const { return spec_.path; }
+  bool has_header() const { return spec_.csv_has_header; }
+  int shard_rows() const { return spec_.shard_rows; }
+
+ private:
+  /// Reads, parses and shape-checks one shard (the cache loader).
+  Result<DenseMatrix> LoadShard(int index) const;
+  /// Cache acquire plus payload-identity-gated hash verification.
+  Result<std::shared_ptr<const DenseMatrix>> AcquireShard(int index) const;
+  std::string ShardKey(int index) const;
+  /// "CSV dataset '<path>'" or "remote dataset '<url>'", by kind.
+  std::string Subject() const;
+
+  DatasetCache* cache_;
+  std::string cache_key_;  ///< path + parse options (header flag + sharding)
+  /// Guards prepared_ and verified_. spec_'s layout (rows, cols, hash,
+  /// shards) is written once, under it, by the Prepare that sets prepared_,
+  /// so code that has seen prepared_ set reads the layout without it.
+  mutable std::mutex mu_;
+  mutable DatasetSpec spec_;
+  mutable bool prepared_ = false;
+  /// Per shard, the payload object last verified (see `AcquireShard`).
+  mutable std::vector<std::weak_ptr<const DenseMatrix>> verified_;
+};
+
 /// \brief Options for `CsvDataSource` / `MakeCsvSource`.
 struct CsvSourceOptions {
   bool has_header = true;
@@ -395,12 +518,12 @@ struct CsvSourceOptions {
 /// mid-run) is also refused, and the refused payload's cache reservation is
 /// released (`DatasetCache::Drop`) instead of lingering charged.
 ///
-/// Chunked mode (`CsvSourceOptions::shard_rows > 0`): `Prepare` scans the
-/// file into fixed row-range shards (recording per-shard byte extents and
-/// value hashes in the spec); each shard is its own cache entry, and
-/// `GatherTransposed` pins exactly one shard at a time, so any cache budget
-/// that admits a single shard streams a dataset of unbounded size with
-/// bit-identical results to the all-in-RAM path.
+/// Chunked mode (`CsvSourceOptions::shard_rows > 0`) is a `ShardedSource`
+/// over the file (`ScanCsvIntoShards` + extent reads): `GatherTransposed`
+/// pins one shard at a time, so any cache budget that admits a single shard
+/// streams a dataset of unbounded size bit-identically to the in-RAM path.
+/// Whole-file mode (the default) keeps one cache entry per file and skips
+/// the scan, which would cost several times its cached `Prepare`.
 class CsvDataSource final : public DataSource {
  public:
   explicit CsvDataSource(std::string path, CsvSourceOptions options = {});
@@ -408,11 +531,8 @@ class CsvDataSource final : public DataSource {
   Status Prepare() const override;
   DatasetSpec spec() const override;
   /// Sharded sources assemble the full matrix shard by shard; the result is
-  /// caller-owned (NOT budget-tracked) — dense learners genuinely need the
-  /// whole matrix, and asking for it is an explicit opt-out of streaming.
+  /// caller-owned (NOT budget-tracked), see `ShardedSource::Dense`.
   Result<std::shared_ptr<const DenseMatrix>> Dense() const override;
-  Result<std::shared_ptr<const CsrMatrix>> Csr() const override;
-  using DataSource::GatherTransposed;
   Status GatherTransposed(std::span<const int> rows,
                           DenseMatrix* out) const override;
   Status GatherTransposed(std::span<const int> rows, DenseMatrix* out,
@@ -422,103 +542,25 @@ class CsvDataSource final : public DataSource {
   double CacheResidency() const override;
 
  private:
-  /// Parses + structurally validates the whole file (the unsharded cache
-  /// loader).
+  /// Parses + structurally validates the whole file (the cache loader).
   Result<DenseMatrix> Load() const;
-  /// Parses + structurally validates one shard's byte extent (the sharded
-  /// cache loader for shard `index`).
-  Result<DenseMatrix> LoadShard(int index) const;
   /// Acquires the whole-dataset payload from the cache and verifies it
   /// against the expected/recorded shape + content hash. Verification runs
   /// whenever the underlying payload object changed since the last check
   /// (first touch, reload after eviction, or a different source
   /// repopulating the shared cache entry), so a cache *hit* on mutated
-  /// content is refused too. Unsharded mode only.
+  /// content is refused too.
   Result<std::shared_ptr<const DenseMatrix>> AcquireVerified() const;
-  /// Sharded analog of `AcquireVerified` for one shard: acquisition through
-  /// the cache plus payload-identity-gated verification against the
-  /// recorded shard hash; a refused payload is dropped from the cache.
-  Result<std::shared_ptr<const DenseMatrix>> AcquireShard(int index) const;
-  /// First-touch scan for chunked mode: validates the file, fills the
-  /// spec's shape, whole-content hash, and shard table, and verifies any
-  /// expectations from a checkpointed spec.
-  Status PrepareSharded() const;
-  Status GatherSharded(std::span<const int> rows, DenseMatrix* out,
-                       GatherScratch* scratch) const;
-  std::string ShardKey(int index) const;
 
+  /// Chunked mode's implementation; null in whole-file mode.
+  std::unique_ptr<const ShardedSource> sharded_;
   DatasetCache* cache_;
-  std::string cache_key_;  ///< path + parse options (header flag + sharding)
-  const int shard_rows_;   ///< 0 = whole-dataset residency
-  std::vector<DatasetShard> expected_shards_;  ///< from a checkpointed spec
-  mutable std::mutex mu_;  // guards spec_ shape/hash/shards, prepared_,
-                           // verified_, verified_shards_
+  std::string cache_key_;  ///< path + header flag
+  mutable std::mutex mu_;  // guards spec_ shape/hash, prepared_, verified_
   mutable DatasetSpec spec_;
   mutable bool prepared_ = false;
   mutable std::weak_ptr<const DenseMatrix> verified_;
-  mutable std::vector<std::weak_ptr<const DenseMatrix>> verified_shards_;
 };
-
-// ------------------------------------------------- shard-plane utilities ---
-//
-// The row-range shard machinery is shared between the local `CsvDataSource`
-// and the remote `HttpDataSource` (`net/http_data_source.h`): both scan (or
-// receive) the same shard layout, parse shard byte extents with the same
-// cell-exact parser, and gather batches with the same counting-sort
-// one-shard-pinned-at-a-time loop — so a remote dataset streams
-// bit-identically to the local file it was exported from.
-
-/// \brief Outcome of scanning a CSV file into fixed row-range shards.
-struct CsvShardScan {
-  int rows = 0;
-  int cols = 0;
-  /// Whole-dataset hash, identical to `HashDenseContent` of the fully
-  /// materialized matrix (the row-major value stream is the concatenation
-  /// of the shard value streams).
-  uint64_t content_hash = 0;
-  std::vector<DatasetShard> shards;
-};
-
-/// Two-pass bounded-memory scan of a CSV file into fixed `shard_rows`-row
-/// shards: pass one establishes structure (shape, raggedness, byte
-/// extents), pass two folds per-shard value hashes plus the whole-dataset
-/// hash one shard at a time. The scan behind `CsvDataSource`'s chunked mode
-/// and the manifest the fleet service serves to remote readers.
-Result<CsvShardScan> ScanCsvIntoShards(const std::string& path,
-                                       bool has_header, int shard_rows);
-
-/// Parses the data lines of one shard's byte extent (however it was
-/// obtained — local read or HTTP `Range:` response body) into an
-/// `expect_rows` x `cols` matrix. Every row goes through the same
-/// `ParseCsvRow` as `ReadCsv`, straight into the matrix, so a value parsed
-/// from a shard is bit-identical to the whole-file parse. Any structural
-/// surprise — ragged/extra/missing lines — is `kInvalidArgument` (the
-/// origin changed since it was scanned). `origin`, `shard` and `first_line`
-/// only feed messages: with `first_line` > 0 (the file line the extent
-/// starts on, known to the scan) lines are named by file line, as `ReadCsv`
-/// names them; with 0 (a reload) by shard and shard-relative line.
-Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
-                                        const std::string& origin,
-                                        int expect_rows, int cols, int shard,
-                                        size_t first_line = 0);
-
-/// The shard-granular gather loop shared by every sharded source: counting-
-/// sorts `rows` by shard (via `scratch`, allocation-free in steady state;
-/// nullptr uses a transient local), then materializes each touched shard
-/// exactly once through `acquire_shard` and copies its columns into `out`
-/// as a pure output partition (bitwise identical at any thread count). The
-/// shard handle is released before the next shard is acquired, so peak
-/// residency is one shard above whatever the cache retains. Shards are
-/// visited in ascending index order, or descending when
-/// `scratch->descending` is set; each call flips that flag, so a reused
-/// scratch alternates and an LRU cache's survivors from one gather are the
-/// first shards the next one asks for. The order changes which loads hit
-/// the cache, never a value.
-Status GatherFromShards(
-    std::span<const int> rows, DenseMatrix* out, GatherScratch* scratch,
-    int total_rows, int cols, int shard_rows, int num_shards,
-    const std::function<Result<std::shared_ptr<const DenseMatrix>>(int)>&
-        acquire_shard);
 
 /// \brief Factory `AttachDataset` uses for `kRemote` specs, so the core
 /// data plane can re-attach remote datasets without depending on the net

@@ -1,11 +1,9 @@
 #include "net/http_data_source.h"
 
 #include <cstdint>
-#include <cstring>
+#include <utility>
 
 #include "net/json.h"
-#include "util/check.h"
-#include "util/failpoint.h"
 
 namespace least {
 namespace {
@@ -48,6 +46,22 @@ Status ManifestError(const std::string& url, std::string_view what) {
   return Status::InvalidArgument("remote dataset '" + url +
                                  "' manifest is malformed: " +
                                  std::string(what));
+}
+
+/// The spec a remote source starts from: identity plus the checkpointed
+/// expectations carried in `options` (moved out of it).
+DatasetSpec RemoteSpec(std::string url, HttpSourceOptions* options) {
+  DatasetSpec spec;
+  spec.kind = DatasetKind::kRemote;
+  spec.path = std::move(url);
+  spec.name = options->name.empty() ? spec.path : std::move(options->name);
+  spec.csv_has_header = options->has_header;
+  spec.shard_rows = options->shard_rows;
+  spec.rows = options->expected_rows;
+  spec.cols = options->expected_cols;
+  spec.content_hash = options->expected_hash;
+  spec.shards = std::move(options->expected_shards);
+  return spec;
 }
 
 Result<std::shared_ptr<const DataSource>> AttachRemote(const DatasetSpec& spec,
@@ -119,336 +133,110 @@ Result<ParsedHttpUrl> ParseHttpUrl(std::string_view url) {
 
 HttpDataSource::HttpDataSource(ParsedHttpUrl origin, std::string url,
                                HttpSourceOptions options)
-    : origin_(std::move(origin)),
-      cache_(options.cache != nullptr ? options.cache : &GlobalDatasetCache()),
-      shard_rows_(options.shard_rows),
-      has_header_(options.has_header),
-      expected_shards_(std::move(options.expected_shards)),
-      expected_rows_(options.expected_rows),
-      expected_cols_(options.expected_cols),
-      expected_hash_(options.expected_hash),
+    : ShardedSource(RemoteSpec(std::move(url), &options), options.cache),
+      origin_(std::move(origin)),
       pool_(std::make_unique<HttpConnectionPool>(origin_.host, origin_.port,
-                                                 options.pool)) {
-  spec_.kind = DatasetKind::kRemote;
-  spec_.path = std::move(url);
-  spec_.name = options.name.empty() ? spec_.path : std::move(options.name);
-  spec_.csv_has_header = has_header_;
-  spec_.shard_rows = shard_rows_;
-  cache_key_ = spec_.path + (has_header_ ? "#header" : "#noheader") +
-               "#rows" + std::to_string(shard_rows_);
-}
+                                                 options.pool)) {}
 
-std::string HttpDataSource::ShardKey(int index) const {
-  return cache_key_ + "#shard" + std::to_string(index);
-}
-
-Status HttpDataSource::PrepareRemote() const {
+Result<CsvShardScan> HttpDataSource::ScanLayout() const {
   const std::string manifest_path =
-      origin_.path + "?manifest=1&shard_rows=" + std::to_string(shard_rows_) +
-      "&has_header=" + (has_header_ ? "1" : "0");
+      origin_.path + "?manifest=1&shard_rows=" + std::to_string(shard_rows()) +
+      "&has_header=" + (has_header() ? "1" : "0");
   Result<HttpClientResponse> fetched = pool_->Fetch(manifest_path);
   if (!fetched.ok()) return fetched.status();
   const HttpClientResponse& response = fetched.value();
   if (response.status == 404) {
-    return Status::InvalidArgument("remote dataset '" + spec_.path +
+    return Status::InvalidArgument("remote dataset '" + path() +
                                    "' not found at the origin");
   }
   if (response.status != 200) {
-    return Status::IoError("manifest fetch for '" + spec_.path +
+    return Status::IoError("manifest fetch for '" + path() +
                            "' returned HTTP " +
                            std::to_string(response.status));
   }
   Result<JsonValue> parsed = ParseJson(response.body);
   if (!parsed.ok()) {
-    return ManifestError(spec_.path, parsed.status().message());
+    return ManifestError(path(), parsed.status().message());
   }
   const JsonValue& manifest = parsed.value();
   if (!manifest.is_object()) {
-    return ManifestError(spec_.path, "top level is not an object");
+    return ManifestError(path(), "top level is not an object");
   }
-  int rows = 0, cols = 0, manifest_shard_rows = 0;
-  uint64_t content_hash = 0;
-  if (!IntField(manifest.Find("rows"), &rows) || rows <= 0) {
-    return ManifestError(spec_.path, "missing or invalid 'rows'");
+  CsvShardScan scan;
+  int manifest_shard_rows = 0;
+  if (!IntField(manifest.Find("rows"), &scan.rows) || scan.rows <= 0) {
+    return ManifestError(path(), "missing or invalid 'rows'");
   }
-  if (!IntField(manifest.Find("cols"), &cols) || cols <= 0) {
-    return ManifestError(spec_.path, "missing or invalid 'cols'");
+  if (!IntField(manifest.Find("cols"), &scan.cols) || scan.cols <= 0) {
+    return ManifestError(path(), "missing or invalid 'cols'");
   }
   if (!IntField(manifest.Find("shard_rows"), &manifest_shard_rows) ||
-      manifest_shard_rows != shard_rows_) {
+      manifest_shard_rows != shard_rows()) {
     return ManifestError(
-        spec_.path,
+        path(),
         "origin scanned at a different shard granularity than requested");
   }
-  if (!U64Field(manifest.Find("content_hash"), &content_hash)) {
-    return ManifestError(spec_.path, "missing or invalid 'content_hash'");
+  if (!U64Field(manifest.Find("content_hash"), &scan.content_hash)) {
+    return ManifestError(path(), "missing or invalid 'content_hash'");
   }
   const JsonValue* shard_list = manifest.Find("shards");
-  if (shard_list == nullptr || !shard_list->is_array() ||
-      shard_list->items().empty()) {
-    return ManifestError(spec_.path, "missing or empty 'shards'");
+  if (shard_list == nullptr || !shard_list->is_array()) {
+    return ManifestError(path(), "missing 'shards'");
   }
-  std::vector<DatasetShard> shards;
-  shards.reserve(shard_list->items().size());
-  int expect_begin = 0;
-  int64_t shard_index = 0;
+  // Field syntax only: whether the table tiles the dataset is checked by
+  // `ShardedSource::Prepare`, for every backend.
+  scan.shards.reserve(shard_list->items().size());
   for (const JsonValue& entry : shard_list->items()) {
-    if (!entry.is_object()) {
-      return ManifestError(spec_.path, "shard entry is not an object");
-    }
     DatasetShard shard;
-    if (!IntField(entry.Find("row_begin"), &shard.row_begin) ||
+    if (!entry.is_object() ||
+        !IntField(entry.Find("row_begin"), &shard.row_begin) ||
         !IntField(entry.Find("row_end"), &shard.row_end) ||
         !U64Field(entry.Find("byte_offset"), &shard.byte_offset) ||
         !U64Field(entry.Find("byte_size"), &shard.byte_size) ||
         !U64Field(entry.Find("content_hash"), &shard.content_hash)) {
-      return ManifestError(spec_.path, "shard entry field missing or invalid");
+      return ManifestError(path(), "shard entry field missing or invalid");
     }
-    // Same tiling discipline as `ScanCsvIntoShards`: shard i covers exactly
-    // [i * shard_rows, min((i + 1) * shard_rows, rows)). The fixed stride is
-    // load-bearing — Dense() writes shard i at row i * shard_rows and the
-    // gather path buckets row r into shard r / shard_rows — so a manifest
-    // that merely tiles [0, rows) with smaller shards must be refused, not
-    // just one with gaps.
-    if (shard.row_begin != expect_begin ||
-        static_cast<int64_t>(shard.row_begin) != shard_index * shard_rows_ ||
-        shard.row_end <= shard.row_begin ||
-        (shard.row_end - shard.row_begin != shard_rows_ &&
-         shard.row_end != rows) ||
-        shard.row_end > rows || shard.byte_size == 0) {
-      return ManifestError(spec_.path,
-                           "shard table does not tile the dataset");
-    }
-    // Byte extents participate in Range headers and slicing arithmetic;
-    // refuse extents whose end would wrap uint64.
-    if (shard.byte_offset > UINT64_MAX - shard.byte_size) {
-      return ManifestError(spec_.path, "shard byte extent overflows");
-    }
-    expect_begin = shard.row_end;
-    ++shard_index;
-    shards.push_back(shard);
+    scan.shards.push_back(shard);
   }
-  if (expect_begin != rows) {
-    return ManifestError(spec_.path, "shard table does not cover every row");
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (prepared_) return Status::Ok();  // a racing Prepare finished first
-  if ((expected_rows_ != 0 && expected_rows_ != rows) ||
-      (expected_cols_ != 0 && expected_cols_ != cols)) {
-    return Status::InvalidArgument(
-        "remote dataset '" + spec_.path + "' is " + std::to_string(rows) +
-        "x" + std::to_string(cols) + " but " +
-        std::to_string(expected_rows_) + "x" + std::to_string(expected_cols_) +
-        " was expected");
-  }
-  if (expected_hash_ != 0 && expected_hash_ != content_hash) {
-    return Status::InvalidArgument(
-        "remote dataset '" + spec_.path +
-        "' content hash mismatch (origin changed since it was recorded)");
-  }
-  // A checkpointed layout is verified by *content* — row ranges and value
-  // hashes; byte extents are the origin's materialization detail.
-  if (!expected_shards_.empty()) {
-    if (expected_shards_.size() != shards.size()) {
-      return Status::InvalidArgument(
-          "remote dataset '" + spec_.path + "' serves " +
-          std::to_string(shards.size()) + " shards where " +
-          std::to_string(expected_shards_.size()) +
-          " were recorded (origin changed since the checkpoint)");
-    }
-    for (size_t i = 0; i < expected_shards_.size(); ++i) {
-      const DatasetShard& want = expected_shards_[i];
-      const DatasetShard& got = shards[i];
-      if (want.row_begin != got.row_begin || want.row_end != got.row_end ||
-          (want.content_hash != 0 &&
-           want.content_hash != got.content_hash)) {
-        return Status::InvalidArgument(
-            "remote dataset '" + spec_.path + "' shard " + std::to_string(i) +
-            " does not match its recorded layout (origin changed since the "
-            "checkpoint)");
-      }
-    }
-  }
-  spec_.rows = rows;
-  spec_.cols = cols;
-  spec_.content_hash = content_hash;
-  spec_.shards = std::move(shards);
-  verified_shards_.assign(spec_.shards.size(),
-                          std::weak_ptr<const DenseMatrix>());
-  prepared_ = true;
-  return Status::Ok();
+  return scan;
 }
 
-Status HttpDataSource::Prepare() const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (prepared_) return Status::Ok();
-  }
-  return PrepareRemote();
-}
-
-DatasetSpec HttpDataSource::spec() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spec_;
-}
-
-Result<DenseMatrix> HttpDataSource::LoadShard(int index) const {
-  DatasetShard shard;
-  int cols = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    LEAST_CHECK(prepared_ && index >= 0 &&
-                index < static_cast<int>(spec_.shards.size()));
-    shard = spec_.shards[static_cast<size_t>(index)];
-    cols = spec_.cols;
-  }
+Result<std::string_view> HttpDataSource::ReadExtent(
+    int index, const DatasetShard& shard, std::string* buffer) const {
   HttpFetchOptions options;
   options.range = "bytes=" + std::to_string(shard.byte_offset) + "-" +
                   std::to_string(shard.byte_offset + shard.byte_size - 1);
   Result<HttpClientResponse> fetched = pool_->Fetch(origin_.path, options);
   if (!fetched.ok()) return fetched.status();
-  const HttpClientResponse& response = fetched.value();
-  std::string_view body(response.body);
-  if (response.status == 206) {
+  const int status = fetched.value().status;
+  *buffer = std::move(fetched).value().body;
+  const std::string_view body(*buffer);
+  const std::string shard_name = "shard " + std::to_string(index);
+  if (status == 206) {
     // The origin honored the range; the body must be exactly the extent.
     if (body.size() != shard.byte_size) {
-      return Status::InvalidArgument(
-          "remote dataset '" + spec_.path + "' shard " +
-          std::to_string(index) + " range response holds " +
-          std::to_string(body.size()) + " bytes where " +
-          std::to_string(shard.byte_size) + " were recorded (origin changed)");
+      return Refusal(shard_name + " range response holds " +
+                     std::to_string(body.size()) + " bytes where " +
+                     std::to_string(shard.byte_size) + " were recorded");
     }
-  } else if (response.status == 200) {
+    return body;
+  }
+  if (status == 200) {
     // The origin ignored the Range header and sent the whole file; slice
     // the extent out (correctness is identical, just more bytes moved).
-    // Written subtraction-side so untrusted u64 extents cannot wrap (the
-    // manifest check already refuses wrapping extents; keep this load path
-    // safe on its own).
+    // Written subtraction-side so a u64 extent cannot wrap.
     if (shard.byte_offset > body.size() ||
         body.size() - shard.byte_offset < shard.byte_size) {
-      return Status::InvalidArgument(
-          "remote dataset '" + spec_.path +
-          "' is shorter than its recorded shard extents (origin changed)");
+      return Refusal(shard_name + " extent lies past the end of the file");
     }
-    body = body.substr(static_cast<size_t>(shard.byte_offset),
+    return body.substr(static_cast<size_t>(shard.byte_offset),
                        static_cast<size_t>(shard.byte_size));
-  } else if (response.status == 416) {
-    return Status::InvalidArgument(
-        "remote dataset '" + spec_.path + "' no longer satisfies shard " +
-        std::to_string(index) + "'s byte range (origin changed)");
-  } else {
-    return Status::IoError("shard fetch for '" + spec_.path +
-                           "' returned HTTP " +
-                           std::to_string(response.status));
   }
-  Result<DenseMatrix> parsed = ParseCsvShardBuffer(
-      body, spec_.path, shard.row_end - shard.row_begin, cols, index);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument(
-        "remote dataset '" + spec_.path + "' shard " + std::to_string(index) +
-        " no longer parses as recorded (origin changed): " +
-        parsed.status().message());
+  if (status == 416) {
+    return Refusal(shard_name + " byte range is no longer satisfiable");
   }
-  return parsed;
-}
-
-Result<std::shared_ptr<const DenseMatrix>> HttpDataSource::AcquireShard(
-    int index) const {
-  const std::string key = ShardKey(index);
-  Result<std::shared_ptr<const DenseMatrix>> acquired =
-      cache_->GetOrLoad(key, [this, index]() { return LoadShard(index); });
-  if (!acquired.ok()) return acquired;
-  // Same transient-fault site as the local sources: no Drop, the shard
-  // stays cached for the retry.
-  LEAST_FAILPOINT("cache.verify");
-  const std::shared_ptr<const DenseMatrix>& handle = acquired.value();
-  std::lock_guard<std::mutex> lock(mu_);
-  std::weak_ptr<const DenseMatrix>& seen =
-      verified_shards_[static_cast<size_t>(index)];
-  if (handle == seen.lock()) return acquired;  // same payload object
-  // First touch of this payload object (load, reload after eviction, or a
-  // foreign source repopulating the shared entry): verify it against the
-  // manifest recorded at Prepare before letting a single value through.
-  const DatasetShard& shard = spec_.shards[static_cast<size_t>(index)];
-  const int rows = shard.row_end - shard.row_begin;
-  if (handle->rows() != rows || handle->cols() != spec_.cols ||
-      HashShardContent(shard.row_begin, shard.row_end, *handle) !=
-          shard.content_hash) {
-    // Release the refused payload's reservation.
-    cache_->Drop(key);
-    return Status::InvalidArgument(
-        "remote dataset '" + spec_.path + "' shard " + std::to_string(index) +
-        " content mismatch (origin changed since it was recorded)");
-  }
-  seen = handle;
-  return acquired;
-}
-
-Result<std::shared_ptr<const DenseMatrix>> HttpDataSource::Dense() const {
-  const Status prepared = Prepare();
-  if (!prepared.ok()) return prepared;
-  int n = 0, d = 0, num_shards = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    n = spec_.rows;
-    d = spec_.cols;
-    num_shards = static_cast<int>(spec_.shards.size());
-  }
-  // Whole-matrix materialization is caller-owned and outside the cache
-  // budget — the explicit opt-out of streaming (see `CsvDataSource`).
-  auto full = std::make_shared<DenseMatrix>(n, d);
-  for (int s = 0; s < num_shards; ++s) {
-    Result<std::shared_ptr<const DenseMatrix>> shard = AcquireShard(s);
-    if (!shard.ok()) return shard.status();
-    const DenseMatrix& m = *shard.value();
-    std::memcpy(full->row(s * shard_rows_), m.data().data(),
-                m.size() * sizeof(double));
-  }
-  return std::static_pointer_cast<const DenseMatrix>(full);
-}
-
-Result<std::shared_ptr<const CsrMatrix>> HttpDataSource::Csr() const {
-  Result<std::shared_ptr<const DenseMatrix>> dense = Dense();
-  if (!dense.ok()) return dense.status();
-  return std::make_shared<const CsrMatrix>(
-      CsrMatrix::FromDense(*dense.value()));
-}
-
-Status HttpDataSource::GatherTransposed(std::span<const int> rows,
-                                        DenseMatrix* out) const {
-  return GatherTransposed(rows, out, nullptr);
-}
-
-Status HttpDataSource::GatherTransposed(std::span<const int> rows,
-                                        DenseMatrix* out,
-                                        GatherScratch* scratch) const {
-  const Status prepared = Prepare();
-  if (!prepared.ok()) return prepared;
-  int n = 0, d = 0, num_shards = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    n = spec_.rows;
-    d = spec_.cols;
-    num_shards = static_cast<int>(spec_.shards.size());
-  }
-  return GatherFromShards(rows, out, scratch, n, d, shard_rows_, num_shards,
-                          [this](int s) { return AcquireShard(s); });
-}
-
-double HttpDataSource::CacheResidency() const {
-  size_t num_shards = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!prepared_) return 0.0;  // nothing loaded yet; probing loads nothing
-    num_shards = spec_.shards.size();
-  }
-  if (num_shards == 0) return 0.0;
-  size_t resident = 0;
-  for (size_t i = 0; i < num_shards; ++i) {
-    if (cache_->Resident(ShardKey(static_cast<int>(i)))) ++resident;
-  }
-  return static_cast<double>(resident) / static_cast<double>(num_shards);
+  return Status::IoError("shard fetch for '" + path() + "' returned HTTP " +
+                         std::to_string(status));
 }
 
 Result<std::shared_ptr<const DataSource>> MakeHttpSource(

@@ -2,27 +2,25 @@
 /// \brief Remote data plane: a `DataSource` that streams CSV shards from an
 /// HTTP origin with `Range:` requests.
 ///
-/// The shard table PR 5 records for local CSV files — per-shard
+/// The shard table recorded for local CSV files — per-shard
 /// `byte_offset`/`byte_size`/`content_hash` — is exactly an HTTP `Range:`
 /// request plan, so a learner can run where compute is while its dataset
-/// stays at the origin. `HttpDataSource` rides that plan:
+/// stays at the origin. `HttpDataSource` is the remote backend of the
+/// shared `ShardedSource` (`core/data_source.h`), which owns the cache,
+/// verification and gather; this file supplies only:
 ///
-///  * `Prepare` fetches a small JSON *manifest*
+///  * the layout: a small JSON *manifest*
 ///    (`GET <path>?manifest=1&shard_rows=K&has_header=H`, served by
-///    `FleetService`'s `/data` route) describing shape, whole-dataset
-///    hash, and the shard table — the node never holds the dataset to
-///    learn its structure.
-///  * Every shard load is a `Range:` GET through a retrying
+///    `FleetService`'s `/data` route) — the node never holds the dataset
+///    to learn its structure;
+///  * an extent's bytes: a `Range:` GET through a retrying
 ///    `HttpConnectionPool` (keep-alive reuse, deterministic backoff on
-///    transient failures, redirect cap), flowing through the *same*
-///    `DatasetCache` and the *same* per-shard FNV-1a verification as local
-///    sharded CSVs: a mutated origin is refused shard by shard, and any
-///    cache budget that admits one shard streams an unbounded remote
-///    dataset bit-identically to the all-in-RAM run.
-///  * The spec is stamped `kRemote` (`path` = origin URL) into format-v5
-///    checkpoints; `InstallHttpDataPlane()` registers the factory
-///    `AttachDataset` needs so a killed fleet resumes streaming from the
-///    origin (`FleetScheduler::ScanAndResume`).
+///    transient failures, redirect cap).
+///
+/// The spec is stamped `kRemote` (`path` = origin URL) into format-v5
+/// checkpoints; `InstallHttpDataPlane()` registers the factory
+/// `AttachDataset` needs so a killed fleet resumes streaming from the
+/// origin (`FleetScheduler::ScanAndResume`).
 ///
 /// Layering: this lives in `net` (it owns sockets); `core` reaches it only
 /// through the `RemoteSourceFactory` function-pointer seam
@@ -32,7 +30,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,22 +82,12 @@ struct HttpSourceOptions {
 /// concurrently (the pool hands each in-flight request its own
 /// connection). Lifecycle: `Prepare()` fetches and verifies the manifest;
 /// everything else requires it.
-class HttpDataSource final : public DataSource {
+class HttpDataSource final : public ShardedSource {
  public:
   /// `origin` must already be parsed (use `MakeHttpSource` for URL
   /// strings); `url` is the original URL kept for spec/path stamping.
   HttpDataSource(ParsedHttpUrl origin, std::string url,
                  HttpSourceOptions options);
-
-  Status Prepare() const override;
-  DatasetSpec spec() const override;
-  Result<std::shared_ptr<const DenseMatrix>> Dense() const override;
-  Result<std::shared_ptr<const CsrMatrix>> Csr() const override;
-  Status GatherTransposed(std::span<const int> rows,
-                          DenseMatrix* out) const override;
-  Status GatherTransposed(std::span<const int> rows, DenseMatrix* out,
-                          GatherScratch* scratch) const override;
-  double CacheResidency() const override;
 
   /// The pool's transport counters (fetches, retries, redirects) — what
   /// the chaos and property tests assert against.
@@ -109,29 +96,15 @@ class HttpDataSource final : public DataSource {
   }
 
  private:
-  /// Fetches + validates the manifest; fills spec_. Called under no lock.
-  Status PrepareRemote() const;
-  /// One shard's `Range:` fetch + parse (the cache loader).
-  Result<DenseMatrix> LoadShard(int index) const;
-  /// Cache acquire + payload-identity-gated hash verification; mirrors
-  /// `CsvDataSource::AcquireShard`.
-  Result<std::shared_ptr<const DenseMatrix>> AcquireShard(int index) const;
-  std::string ShardKey(int index) const;
+  /// Fetches and parses the manifest (`GET <path>?manifest=1&...`).
+  Result<CsvShardScan> ScanLayout() const override;
+  /// One shard's `Range:` GET: a 206 body must be exactly the extent, a
+  /// 200 (Range ignored) is sliced, a 416 means the origin shrank.
+  Result<std::string_view> ReadExtent(int index, const DatasetShard& shard,
+                                      std::string* buffer) const override;
 
   const ParsedHttpUrl origin_;
-  DatasetCache* cache_;
-  std::string cache_key_;  ///< URL + parse options (header flag + sharding)
-  const int shard_rows_;
-  const bool has_header_;
-  std::vector<DatasetShard> expected_shards_;
-  const int expected_rows_;
-  const int expected_cols_;
-  const uint64_t expected_hash_;
-  mutable std::unique_ptr<HttpConnectionPool> pool_;
-  mutable std::mutex mu_;  ///< guards spec_, prepared_, verified_shards_
-  mutable DatasetSpec spec_;
-  mutable bool prepared_ = false;
-  mutable std::vector<std::weak_ptr<const DenseMatrix>> verified_shards_;
+  std::unique_ptr<HttpConnectionPool> pool_;
 };
 
 /// Builds an `HttpDataSource` from a URL string. Fails with

@@ -25,6 +25,7 @@
 #include "runtime/fleet_scheduler.h"
 #include "runtime/job_journal.h"
 #include "runtime/thread_pool.h"
+#include "util/failpoint.h"
 
 namespace least {
 namespace {
@@ -466,7 +467,19 @@ TEST(NetService, ModelLifecycleErrors) {
   Stack stack(dir, /*pool_size=*/1);
   HttpClient client("127.0.0.1", stack.server->port());
 
-  // A job that cannot finish quickly (tight tolerance, many rounds).
+  // Job 0 holds the only worker in its claim for 1.5 s, so job 1 is
+  // provably still queued (never started, never settled) while the checks
+  // below run, however fast it would fit.
+  ScopedFailpoints hold("sched.claim=delay:1500@1");
+  ASSERT_TRUE(hold.status().ok()) << hold.status().ToString();
+  Result<HttpClientResponse> blocker = client.Post(
+      "/jobs",
+      "{\"name\":\"blocker\",\"algorithm\":\"least-dense\","
+      "\"dataset\":{\"csv\":\"net_service_data.csv\","
+      "\"has_header\":false},\"options\":{\"max_outer_iterations\":1}}");
+  ASSERT_TRUE(blocker.ok());
+  ASSERT_EQ(blocker.value().status, 202);
+
   const std::string slow_body =
       "{\"name\":\"slow\",\"algorithm\":\"least-dense\","
       "\"dataset\":{\"csv\":\"net_service_data.csv\",\"has_header\":false},"
@@ -476,17 +489,17 @@ TEST(NetService, ModelLifecycleErrors) {
   ASSERT_TRUE(submit.ok());
   ASSERT_EQ(submit.value().status, 202);
 
-  Result<HttpClientResponse> early = client.Get("/models/0");
+  Result<HttpClientResponse> early = client.Get("/models/1");
   ASSERT_TRUE(early.ok());
   EXPECT_EQ(early.value().status, 409);
 
-  Result<HttpClientResponse> cancel = client.Delete("/jobs/0");
+  Result<HttpClientResponse> cancel = client.Delete("/jobs/1");
   ASSERT_TRUE(cancel.ok());
   EXPECT_EQ(cancel.value().status, 200);
 
-  EXPECT_EQ(FollowUntilSettled(client, 0), "cancelled");
+  EXPECT_EQ(FollowUntilSettled(client, 1), "cancelled");
 
-  Result<HttpClientResponse> after = client.Get("/models/0");
+  Result<HttpClientResponse> after = client.Get("/models/1");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().status, 409);
   EXPECT_NE(after.value().body.find("cancelled"), std::string::npos);

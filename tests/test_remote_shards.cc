@@ -170,6 +170,53 @@ TEST(RemoteShards, ManifestPrepareMatchesLocalScan) {
   Result<std::shared_ptr<const DenseMatrix>> dense = src->Dense();
   ASSERT_TRUE(dense.ok()) << dense.status().ToString();
   ExpectBitIdentical(*dense.value(), x);
+
+  // The local chunked source over the same file reports the same layout,
+  // and the same gather sequence — a scratch reused across two full gathers
+  // under a two-shard budget — makes the same cache traffic on either
+  // backend: shard 2 evicts shard 0 on the ascending pass, the descending
+  // pass hits shards 2 and 1 and reloads shard 0.
+  const size_t budget = 2 * 20 * 4 * sizeof(double);
+  DatasetCache local_cache(budget), remote_cache(budget);
+  CsvSourceOptions local_options;
+  local_options.has_header = false;
+  local_options.cache = &local_cache;
+  local_options.shard_rows = 20;
+  const CsvDataSource local_src(path, local_options);
+  Result<std::shared_ptr<const DataSource>> remote_made =
+      MakeHttpSource(origin.Url("m.csv"), RemoteOptions(&remote_cache, 20));
+  ASSERT_TRUE(remote_made.ok()) << remote_made.status().ToString();
+  const DataSource& remote_src = *remote_made.value();
+  ASSERT_TRUE(local_src.Prepare().ok());
+  ASSERT_TRUE(remote_src.Prepare().ok());
+  const DatasetSpec local_spec = local_src.spec();
+  const DatasetSpec remote_spec = remote_src.spec();
+  EXPECT_EQ(local_spec.content_hash, remote_spec.content_hash);
+  ASSERT_EQ(local_spec.shards.size(), remote_spec.shards.size());
+  for (size_t i = 0; i < local_spec.shards.size(); ++i) {
+    EXPECT_EQ(local_spec.shards[i].row_begin, remote_spec.shards[i].row_begin);
+    EXPECT_EQ(local_spec.shards[i].row_end, remote_spec.shards[i].row_end);
+    EXPECT_EQ(local_spec.shards[i].content_hash,
+              remote_spec.shards[i].content_hash);
+  }
+  std::vector<int> rows(53);
+  for (int i = 0; i < 53; ++i) rows[i] = i;
+  auto traffic = [&](const DataSource& s, const DatasetCache& cache) {
+    const DatasetCache::Stats before = cache.stats();
+    GatherScratch scratch;
+    for (int pass = 0; pass < 2; ++pass) {
+      DenseMatrix out(4, 53);
+      EXPECT_TRUE(s.GatherTransposed(rows, &out, &scratch).ok());
+    }
+    const DatasetCache::Stats after = cache.stats();
+    return std::vector<int64_t>{after.hits - before.hits,
+                                after.misses - before.misses,
+                                after.loads - before.loads,
+                                after.evictions - before.evictions};
+  };
+  const std::vector<int64_t> local_traffic = traffic(local_src, local_cache);
+  EXPECT_EQ(local_traffic, (std::vector<int64_t>{2, 4, 4, 2}));
+  EXPECT_EQ(traffic(remote_src, remote_cache), local_traffic);
 }
 
 TEST(RemoteShards, PropertySweepBudgetsOrdersAndReloadsBitIdentical) {

@@ -24,6 +24,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -548,6 +550,50 @@ TEST(ShardedCsvSource, ReloadNamesShardAndShardRelativeLine) {
   EXPECT_NE(s.message().find("'x45' at shard-relative line 6 of shard 2 in"),
             std::string::npos)
       << s.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ShardedCsvSource, UnparseableReloadRefusedWithCsvWordingInBothOrders) {
+  // The file gains a leading line, so every recorded extent now starts
+  // mid-line and no longer parses. Whichever shard the reload reaches first
+  // — shard 0 ascending (fresh scratch), the last shard descending (a
+  // scratch reused from the first gather) — the refusal names the CSV
+  // dataset and that shard, as a remote reload names the origin.
+  const int n = 60, d = 3, shard_rows = 20, last = n / shard_rows - 1;
+  const std::string path = testing::TempDir() + "/least_shard_shifted.csv";
+  for (const bool reuse_scratch : {false, true}) {
+    SCOPED_TRACE(reuse_scratch ? "descending (reused scratch)"
+                               : "ascending (fresh scratch)");
+    ASSERT_TRUE(WriteMatrixCsv(path, TestMatrix(n, d, 23)).ok());
+    DatasetCache cache(1 << 20);
+    CsvDataSource src(path, ShardedOptions(&cache, shard_rows));
+    ASSERT_TRUE(src.Prepare().ok());
+    std::vector<int> rows(n);
+    for (int i = 0; i < n; ++i) rows[i] = i;
+    GatherScratch scratch;
+    DenseMatrix out(d, n);
+    ASSERT_TRUE(src.GatherTransposed(rows, &out, &scratch).ok());
+
+    std::string content;
+    {
+      std::ifstream in(path, std::ios::binary);
+      content.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << "0,0,0\n"
+                                                             << content;
+    cache.Clear();
+    GatherScratch fresh;
+    const Status refused = src.GatherTransposed(
+        rows, &out, reuse_scratch ? &scratch : &fresh);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    const std::string prefix = "CSV dataset '" + path + "' shard " +
+                               std::to_string(reuse_scratch ? last : 0) + " ";
+    EXPECT_EQ(refused.message().rfind(prefix, 0), 0u) << refused.ToString();
+    EXPECT_NE(refused.message().find("(file changed)"), std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(cache.resident_bytes(), 0u) << "refused shard still charged";
+  }
   std::remove(path.c_str());
 }
 
